@@ -18,7 +18,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import families, verify
 from .cremona import (
@@ -34,22 +33,6 @@ from .cremona import (
 )
 from .dynamics import SpectrumError, certify_convergence, eigen, iterate
 from .quadfield import MixedRadicandError
-
-# ray spec names accepted by `pair` and `eigenray`, mapped to family tags
-RAY_ALIASES = {
-    "W_odd": "odd",
-    "W_even": "even",
-    "Wplus_even": "even_plus",
-    "Wplus_odd": "odd_plus",
-    "Wplus_sq4": "sq4",
-    "Wplus_sq2": "sq2",
-}
-
-# `verify` works on the good families; plus-tags name the same sweeps
-GOOD_ALIASES = {"even_plus": "even", "odd_plus": "odd"}
-
-# matrix family whose spectrum governs each derived limit ray
-MATRIX_SOURCE = {"even_plus": "odd", "odd_plus": "even", "sq4": "even", "sq2": "even"}
 
 
 class UsageError(Exception):
@@ -192,11 +175,12 @@ def cmd_orbit(args) -> int:
 
 
 def _family_tag(name: str) -> str:
-    tag = RAY_ALIASES.get(name, name)
-    if tag not in families.WONDERFUL_TAGS:
-        raise UsageError(f"unknown ray family {name!r}; expected one of "
-                         f"{', '.join(families.WONDERFUL_TAGS)} or {', '.join(RAY_ALIASES)}")
-    return tag
+    """The limit family named by its tag or its alias."""
+    for f in families.FAMILIES:
+        if name in (f.tag, f.alias):
+            return f.tag
+    raise UsageError(f"unknown ray family {name!r}; expected one of {', '.join(families.WONDERFUL_TAGS)} "
+                     f"or {', '.join(f.alias for f in families.FAMILIES)}")
 
 
 def cmd_eigenray(args) -> int:
@@ -205,8 +189,7 @@ def cmd_eigenray(args) -> int:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     display = families.wonderful_profile(tag, args.n)
     ray = families.wonderful_ray(tag, args.n)
-    src = MATRIX_SOURCE.get(tag, tag)
-    matrix = families.shape_matrix(src, args.n)
+    matrix = families.shape_matrix(families.family(tag).parent or tag, args.n)
     dec = eigen(matrix)
     try:
         cert = certify_convergence(matrix, families.LINE_SEED).to_json()
@@ -254,8 +237,9 @@ def _exact_and_decimal(v, digits: int) -> tuple[str, str]:
 
 
 def cmd_verify(args) -> int:
-    name = GOOD_ALIASES.get(args.family, args.family)
-    if name not in families.GOOD_TAGS:
+    # a good sweep is also named by the tag of its limit family
+    name = next((f.good for f in families.FAMILIES if f.good and args.family in (f.good, f.tag)), None)
+    if name is None:
         raise UsageError(f"unknown family {args.family!r}; expected one of "
                          f"{', '.join(families.GOOD_TAGS)} (or even_plus/odd_plus aliases)")
     n_lo, n_hi = _parse_range(args.n)
@@ -264,15 +248,8 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--n must start at >= 1, got {n_lo}")
     if k_lo < 0:
         raise UsageError(f"--k must start at >= 0, got {k_lo}")
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
 
-    grid = [(n, k) for n in range(n_lo, n_hi + 1) for k in range(k_lo, k_hi + 1)]
-    if args.jobs == 1:
-        certs = [verify.verify_good(name, n, k) for n, k in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            certs = list(pool.map(lambda nk: verify.verify_good(name, *nk), grid))
+    certs = [verify.verify_good(name, n, k) for n in range(n_lo, n_hi + 1) for k in range(k_lo, k_hi + 1)]
     table = verify.defernex_sweep(families.GOOD_LIMITS[name], n_lo, n_hi)
     ok = all(c.valid for c in certs) and table.valid
     failing = [(c.n, c.k) for c in certs if not c.valid]
@@ -400,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", required=True, help="even, odd, sq4, sq2 (even_plus/odd_plus alias the first two)")
     sp.add_argument("--n", required=True, help="range A..B or single N")
     sp.add_argument("--k", default="1..6", help="range A..B or single K (default 1..6)")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel certificate workers")
     common(sp)
     sp.set_defaults(func=cmd_verify)
 
@@ -416,11 +392,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.digits < 0:
+            raise UsageError(f"--digits must be >= 0, got {args.digits}")
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, SpectrumError) as e:
+    except (UsageError, ValueError, SpectrumError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -394,9 +394,6 @@ class ReductionResult:
 
         return any(m < QuadNum(0) for m in self.reduced.mults)
 
-    def trace_matrices(self) -> list[CharMatrix]:
-        return [quadratic_map(t, self.start.s) for t in self.steps]
-
     def replay(self) -> bool:
         """Re-apply the recorded quadratic maps; must land on `reduced`."""
         x = self.start

@@ -1,31 +1,63 @@
-"""The two shape-matrix families and everything built from their orbits.
+"""The six limit-ray families, as one table.
 
-Naming follows the supported surfaces:
+Every irrational ray here is built the same way: take the limit of the pencil
+orbit under a shape matrix (A_n or B_n), then split its first point to order
+r(n).  `FAMILIES` holds one row per limit family:
 
-  odd        X_{2n+7}, matrix A_n from the Jonquieres/Sturm composite
-  even       X_{2n+8}, matrix B_n from the double-Jonquieres/Geiser composite
-  even_plus  X_{2n+10}, order-2 uncollision of the odd family
-  odd_plus   X_{2n+11}, order-2 uncollision of the even family
-  sq4        X_{(n+2)^2+4}, order-(n+1) uncollision of the even family
-  sq2        X_{(n+3)^2+2}, order-(n+2) uncollision of the even family
+  tag        alias       parent  r(n)  surface
+  odd        W_odd       -       1     X_{2n+7},      A_n from the Jonquieres/Sturm composite
+  even       W_even      -       1     X_{2n+8},      B_n from the double-Jonquieres/Geiser composite
+  even_plus  Wplus_even  odd     2     X_{2n+10}
+  odd_plus   Wplus_odd   even    2     X_{2n+11}
+  sq4        Wplus_sq4   even    n+1   X_{(n+2)^2+4}
+  sq2        Wplus_sq2   even    n+2   X_{(n+3)^2+2}
 
-Pencil orbits and the good-ray families carry integer classes; the six
-`wonderful_*` constructors return the irrational limit rays in their
-conventional display scaling (the Ray class normalizes away the scaling).
+A row with a parent also names its good-ray sweep (`even`, `odd`, `sq4`,
+`sq2`): the same order-r split applied to the r-scaled pencil orbit terms of
+the parent, integer classes whose rays converge to the row's limit ray.  The
+two matrix rows carry the shape matrix, the three orbit invariants that a
+good-ray certificate checks on the parent orbit, and the word for its scaled
+pencil.  `WONDERFUL_TAGS`, `GOOD_TAGS`, `GOOD_PARENTS`, `GOOD_LIMITS`,
+`shape_matrix` and `surface_points` are views of the table.
+
+Pencil orbits and the good-ray families carry integer classes; the closed
+forms `wonderful_*` return the irrational limit rays in their conventional
+display scaling (the Ray class normalizes away the scaling).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 from .cremona import ShapeMatrix
 from .dynamics import Ray, iterate
 from .lattice import MultiplicityProfile
 from .quadfield import QuadNum
 
-WONDERFUL_TAGS = ("odd", "even", "even_plus", "odd_plus", "sq4", "sq2")
-GOOD_TAGS = ("even", "odd", "sq4", "sq2")
-
 LINE_SEED = (1, 0, 0, 0)
 PENCIL_SEED = (1, 1, 0, 0)
+
+# (name, statement, holds) for one orbit row (d, a, b, c) of a matrix family
+Invariant = tuple[str, str, bool]
+
+
+@dataclass(frozen=True)
+class Family:
+    """One limit family.  `parent` is the matrix family whose limit ray (and,
+    for the good sweep `good`, whose pencil orbit) is split to order
+    `order(n)` at its first point; the matrix families themselves have no
+    parent and order 1, and carry `matrix`, `invariants` and `scaling`."""
+
+    tag: str
+    alias: str
+    closed_form: Callable[[int], MultiplicityProfile]
+    parent: str | None = None
+    order: Callable[[int], int] = lambda n: 1
+    good: str | None = None
+    matrix: Callable[[int], ShapeMatrix] | None = None
+    invariants: Callable[[int, int, int, int, int], tuple[Invariant, ...]] | None = None
+    scaling: str = "scaled"
 
 
 def _check_n(n: int) -> int:
@@ -75,14 +107,6 @@ def even_shape_matrix(n: int) -> ShapeMatrix:
     )
 
 
-def shape_matrix(tag: str, n: int) -> ShapeMatrix:
-    if tag == "odd":
-        return odd_shape_matrix(n)
-    if tag == "even":
-        return even_shape_matrix(n)
-    raise ValueError(f"no shape matrix for tag {tag!r}")
-
-
 def js_homaloidal(n: int) -> MultiplicityProfile:
     """Homaloidal net of the Jonquieres/Sturm composite on 2n+7 points."""
     _check_n(n)
@@ -98,58 +122,29 @@ def cg_homaloidal(n: int) -> MultiplicityProfile:
     )
 
 
-# -- pencil orbits --------------------------------------------------------------------
+def odd_invariants(n: int, d: int, a: int, b: int, c: int) -> tuple[Invariant, ...]:
+    """What every pencil orbit row of A_n satisfies."""
+    return (
+        ("invariant-degree", f"d - a - 2c = {d - a - 2 * c} = 0", d - a - 2 * c == 0),
+        ("invariant-mult", f"n*b - a = {n * b - a} = -1", n * b - a == -1),
+        ("orbit-inequality", f"b = {b} > c = {c} >= 0", b > c >= 0),
+    )
 
 
-def _orbit_profile(m: ShapeMatrix, k: int) -> MultiplicityProfile:
-    if k < 0:
-        raise ValueError(f"orbit index must be >= 0, got {k}")
-    row = iterate(m, PENCIL_SEED, k).term(k)
-    return MultiplicityProfile(row[0], list(zip(row[1:], m.counts)))
+def even_invariants(n: int, d: int, a: int, b: int, c: int) -> tuple[Invariant, ...]:
+    """What every pencil orbit row of B_n satisfies."""
+    return (
+        (
+            "invariant-degree",
+            f"3d - 7b - (3n+2)c = {3 * d - 7 * b - (3 * n + 2) * c} = 3",
+            3 * d - 7 * b - (3 * n + 2) * c == 3,
+        ),
+        ("invariant-mult", f"a - (n+2)c = {a - (n + 2) * c} = 1", a - (n + 2) * c == 1),
+        ("orbit-inequality", f"3c = {3 * c} > b = {b} >= 0", 3 * c > b >= 0),
+    )
 
 
-def pencil_profile(n: int, k: int) -> MultiplicityProfile:
-    """k-th pencil class of the odd family, L_d(a, b^{2n}, c^6) on 2n+7 points."""
-    return _orbit_profile(odd_shape_matrix(n), k)
-
-
-def primed_pencil_profile(n: int, k: int) -> MultiplicityProfile:
-    """k-th pencil class of the even family, L_d(a, b^7, c^{2n}) on 2n+8 points."""
-    return _orbit_profile(even_shape_matrix(n), k)
-
-
-# -- good-ray families -----------------------------------------------------------------
-
-
-def good_even(n: int, k: int) -> MultiplicityProfile:
-    """L_{2d}(a^4, (2b)^{2n}, (2c)^6) on 2n+10 points."""
-    return (2 * pencil_profile(n, k)).uncollide(1, 2)
-
-
-def good_odd(n: int, k: int) -> MultiplicityProfile:
-    """L_{2d'}(a'^4, (2b')^7, (2c')^{2n}) on 2n+11 points."""
-    return (2 * primed_pencil_profile(n, k)).uncollide(1, 2)
-
-
-def good_sq4(n: int, k: int) -> MultiplicityProfile:
-    """Order n+1 uncollision of the scaled even pencil, on (n+2)^2+4 points."""
-    return ((n + 1) * primed_pencil_profile(n, k)).uncollide(1, n + 1)
-
-
-def good_sq2(n: int, k: int) -> MultiplicityProfile:
-    """Order n+2 uncollision of the scaled even pencil, on (n+3)^2+2 points."""
-    return ((n + 2) * primed_pencil_profile(n, k)).uncollide(1, n + 2)
-
-
-def good_profile(tag: str, n: int, k: int) -> MultiplicityProfile:
-    try:
-        build = {"even": good_even, "odd": good_odd, "sq4": good_sq4, "sq2": good_sq2}[tag]
-    except KeyError:
-        raise ValueError(f"unknown good-ray family {tag!r}; expected one of {GOOD_TAGS}") from None
-    return build(n, k)
-
-
-# -- wonderful limit rays ----------------------------------------------------------------
+# -- closed forms of the limit rays ------------------------------------------------------
 
 
 def wonderful_odd(n: int) -> MultiplicityProfile:
@@ -228,46 +223,111 @@ def wonderful_sq2(n: int) -> MultiplicityProfile:
     )
 
 
-_WONDERFUL = {
-    "odd": wonderful_odd,
-    "even": wonderful_even,
-    "even_plus": wonderful_even_plus,
-    "odd_plus": wonderful_odd_plus,
-    "sq4": wonderful_sq4,
-    "sq2": wonderful_sq2,
-}
+# -- the table -------------------------------------------------------------------------
+
+FAMILIES = (
+    Family("odd", "W_odd", wonderful_odd, matrix=odd_shape_matrix, invariants=odd_invariants,
+           scaling="doubled"),
+    Family("even", "W_even", wonderful_even, matrix=even_shape_matrix, invariants=even_invariants),
+    Family("even_plus", "Wplus_even", wonderful_even_plus, "odd", lambda n: 2, "even"),
+    Family("odd_plus", "Wplus_odd", wonderful_odd_plus, "even", lambda n: 2, "odd"),
+    Family("sq4", "Wplus_sq4", wonderful_sq4, "even", lambda n: n + 1, "sq4"),
+    Family("sq2", "Wplus_sq2", wonderful_sq2, "even", lambda n: n + 2, "sq2"),
+)
+
+WONDERFUL_TAGS = tuple(f.tag for f in FAMILIES)
+GOOD_TAGS = tuple(f.good for f in FAMILIES if f.good)
+# good family -> (pencil family tag, scale/uncollision order as a function of n)
+GOOD_PARENTS = {f.good: (f.parent, f.order) for f in FAMILIES if f.good}
+# good family -> limit ray family reached as k grows
+GOOD_LIMITS = {f.good: f.tag for f in FAMILIES if f.good}
+
+
+def family(tag: str) -> Family:
+    for f in FAMILIES:
+        if f.tag == tag:
+            return f
+    raise ValueError(f"unknown limit-ray family {tag!r}; expected one of {WONDERFUL_TAGS}")
+
+
+def good_family(tag: str) -> Family:
+    """The row whose limit the good-ray sweep `tag` converges to."""
+    for f in FAMILIES:
+        if f.good == tag:
+            return f
+    raise ValueError(f"unknown good-ray family {tag!r}; expected one of {GOOD_TAGS}")
+
+
+def shape_matrix(tag: str, n: int) -> ShapeMatrix:
+    build = next((f.matrix for f in FAMILIES if f.tag == tag), None)
+    if build is None:
+        raise ValueError(f"no shape matrix for tag {tag!r}")
+    return build(n)
+
+
+def surface_points(tag: str, n: int) -> int:
+    f = family(tag)
+    r = f.order(n)
+    return sum(shape_matrix(f.parent or tag, n).counts) + r * r - 1
+
+
+# -- pencil orbits --------------------------------------------------------------------
+
+
+def _orbit_profile(m: ShapeMatrix, k: int) -> MultiplicityProfile:
+    if k < 0:
+        raise ValueError(f"orbit index must be >= 0, got {k}")
+    row = iterate(m, PENCIL_SEED, k).term(k)
+    return MultiplicityProfile(row[0], list(zip(row[1:], m.counts)))
+
+
+def pencil_profile(n: int, k: int) -> MultiplicityProfile:
+    """k-th pencil class of the odd family, L_d(a, b^{2n}, c^6) on 2n+7 points."""
+    return _orbit_profile(odd_shape_matrix(n), k)
+
+
+def primed_pencil_profile(n: int, k: int) -> MultiplicityProfile:
+    """k-th pencil class of the even family, L_d(a, b^7, c^{2n}) on 2n+8 points."""
+    return _orbit_profile(even_shape_matrix(n), k)
+
+
+# -- good-ray families -----------------------------------------------------------------
+
+
+def good_profile(tag: str, n: int, k: int) -> MultiplicityProfile:
+    """Order-r split, at its first point, of the r-scaled k-th pencil class
+    of the parent family."""
+    f = good_family(tag)
+    r = f.order(n)
+    return (r * _orbit_profile(shape_matrix(f.parent, n), k)).uncollide(1, r)
+
+
+def good_even(n: int, k: int) -> MultiplicityProfile:
+    """L_{2d}(a^4, (2b)^{2n}, (2c)^6) on 2n+10 points."""
+    return good_profile("even", n, k)
+
+
+def good_odd(n: int, k: int) -> MultiplicityProfile:
+    """L_{2d'}(a'^4, (2b')^7, (2c')^{2n}) on 2n+11 points."""
+    return good_profile("odd", n, k)
+
+
+def good_sq4(n: int, k: int) -> MultiplicityProfile:
+    """Order n+1 uncollision of the scaled even pencil, on (n+2)^2+4 points."""
+    return good_profile("sq4", n, k)
+
+
+def good_sq2(n: int, k: int) -> MultiplicityProfile:
+    """Order n+2 uncollision of the scaled even pencil, on (n+3)^2+2 points."""
+    return good_profile("sq2", n, k)
+
+
+# -- limit rays ------------------------------------------------------------------------
 
 
 def wonderful_profile(tag: str, n: int) -> MultiplicityProfile:
-    try:
-        return _WONDERFUL[tag](n)
-    except KeyError:
-        raise ValueError(f"unknown limit-ray family {tag!r}; expected one of {WONDERFUL_TAGS}") from None
+    return family(tag).closed_form(n)
 
 
 def wonderful_ray(tag: str, n: int) -> Ray:
     return Ray.from_profile(wonderful_profile(tag, n))
-
-
-def surface_points(tag: str, n: int) -> int:
-    _check_n(n)
-    return {
-        "odd": 2 * n + 7,
-        "even": 2 * n + 8,
-        "even_plus": 2 * n + 10,
-        "odd_plus": 2 * n + 11,
-        "sq4": (n + 2) * (n + 2) + 4,
-        "sq2": (n + 3) * (n + 3) + 2,
-    }[tag]
-
-
-# good family -> (pencil family tag, scale/uncollision order as a function of n)
-GOOD_PARENTS = {
-    "even": ("odd", lambda n: 2),
-    "odd": ("even", lambda n: 2),
-    "sq4": ("even", lambda n: n + 1),
-    "sq2": ("even", lambda n: n + 2),
-}
-
-# good family -> limit ray family reached as k grows
-GOOD_LIMITS = {"even": "even_plus", "odd": "odd_plus", "sq4": "sq4", "sq2": "sq2"}

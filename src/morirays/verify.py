@@ -223,97 +223,35 @@ class GoodRayCertificate:
         }
 
 
-def verify_good_even(n: int, k: int) -> GoodRayCertificate:
-    """Certificate for the order-2 split of the doubled odd-family pencil."""
-    d, a, b, c = iterate(families.odd_shape_matrix(n), families.PENCIL_SEED, k).term(k)
-    system = families.good_even(n, k)
-    displayed = MultiplicityProfile(2 * d, [(a, 4), (2 * b, 2 * n), (2 * c, 6)])
+def verify_good(family: str, n: int, k: int) -> GoodRayCertificate:
+    """Certificate for the order-r split of the r-scaled k-th pencil class
+    L_d(a, b^{n1}, c^{n2}) of the parent family: the displayed system is
+    L_{rd}(a^{r^2}, (rb)^{n1}, (rc)^{n2}).  The collision rule is picked by
+    the order: 2 reuses the order-2 argument, 3 counts matching conditions,
+    larger orders use the twist bound."""
+    row = families.good_family(family)
+    parent = families.family(row.parent)
+    r = row.order(n)
+    matrix = parent.matrix(n)
+    d, a, b, c = iterate(matrix, families.PENCIL_SEED, k).term(k)
+    _, n1, n2 = matrix.counts
+    system = families.good_profile(family, n, k)
+    displayed = MultiplicityProfile(r * d, [(a, r * r), (r * b, n1), (r * c, n2)])
     checks = (
-        Check("construction", "system equals the order-2 split of the doubled pencil", system == displayed),
-        Check("self-intersection", "exact self-intersection is 0", system.self_intersection() == 0),
-        Check("degree", f"degree 2d = {2 * d} > 0", 2 * d > 0),
-        Check("rational", "all entries are rational", all(v.is_rational for v, _ in system.blocks)),
-        Check("invariant-degree", f"d - a - 2c = {d - a - 2 * c} = 0", d - a - 2 * c == 0),
-        Check("invariant-mult", f"n*b - a = {n * b - a} = -1", n * b - a == -1),
-        Check("orbit-inequality", f"b = {b} > c = {c} >= 0", b > c >= 0),
-        Check("split-multiplicity", f"a = {a} > 2", a > 2),
-    )
-    empt = emptiness_certificate(system, families.pencil_profile(n, k), 2)
-    return GoodRayCertificate("even", n, k, system, checks, empt)
-
-
-def _primed_checks(n: int, k: int, row: tuple[int, int, int, int]) -> tuple[Check, ...]:
-    d, a, b, c = row
-    return (
-        Check(
-            "invariant-degree",
-            f"3d - 7b - (3n+2)c = {3 * d - 7 * b - (3 * n + 2) * c} = 3",
-            3 * d - 7 * b - (3 * n + 2) * c == 3,
-        ),
-        Check("invariant-mult", f"a - (n+2)c = {a - (n + 2) * c} = 1", a - (n + 2) * c == 1),
-        Check("orbit-inequality", f"3c = {3 * c} > b = {b} >= 0", 3 * c > b >= 0),
-    )
-
-
-def _good_even_family(family: str, n: int, k: int, r: int, system: MultiplicityProfile,
-                      displayed: MultiplicityProfile) -> GoodRayCertificate:
-    row = iterate(families.even_shape_matrix(n), families.PENCIL_SEED, k).term(k)
-    d, a, b, c = row
-    checks = (
-        Check("construction", f"system equals the order-{r} split of the scaled pencil", system == displayed),
+        Check("construction", f"system equals the order-{r} split of the {parent.scaling} pencil",
+              system == displayed),
         Check("self-intersection", "exact self-intersection is 0", system.self_intersection() == 0),
         Check("degree", f"degree {r}d = {r * d} > 0", r * d > 0),
         Check("rational", "all entries are rational", all(v.is_rational for v, _ in system.blocks)),
-        *_primed_checks(n, k, row),
+        *(Check(*inv) for inv in parent.invariants(n, d, a, b, c)),
     )
     if r <= 3:
         checks += (Check("split-multiplicity", f"a = {a} > 2", a > 2),)
-    empt = emptiness_certificate(system, families.primed_pencil_profile(n, k), r)
-    return GoodRayCertificate(family, n, k, system, checks, empt)
-
-
-def verify_good_odd(n: int, k: int) -> GoodRayCertificate:
-    """Certificate for the order-2 split of the doubled even-family pencil."""
-    d, a, b, c = iterate(families.even_shape_matrix(n), families.PENCIL_SEED, k).term(k)
-    displayed = MultiplicityProfile(2 * d, [(a, 4), (2 * b, 7), (2 * c, 2 * n)])
-    return _good_even_family("odd", n, k, 2, families.good_odd(n, k), displayed)
-
-
-def verify_good_sq(n: int, k: int, variant: str) -> GoodRayCertificate:
-    """Certificate for the order n+1 (sq4) or n+2 (sq2) split; the collision
-    rule is picked by the order: 2 reuses the order-2 argument, 3 counts
-    matching conditions, larger orders use the twist bound."""
-    if variant == "sq4":
-        r, system = n + 1, families.good_sq4(n, k)
-    elif variant == "sq2":
-        r, system = n + 2, families.good_sq2(n, k)
-    else:
-        raise ValueError(f"variant must be sq4 or sq2, got {variant!r}")
-    d, a, b, c = iterate(families.even_shape_matrix(n), families.PENCIL_SEED, k).term(k)
-    displayed = MultiplicityProfile(r * d, [(a, r * r), (r * b, 7), (r * c, 2 * n)])
-    return _good_even_family(variant, n, k, r, system, displayed)
-
-
-def verify_good(family: str, n: int, k: int) -> GoodRayCertificate:
-    if family == "even":
-        return verify_good_even(n, k)
-    if family == "odd":
-        return verify_good_odd(n, k)
-    if family in ("sq4", "sq2"):
-        return verify_good_sq(n, k, family)
-    raise ValueError(f"unknown good-ray family {family!r}; expected one of {families.GOOD_TAGS}")
+    pencil = MultiplicityProfile(d, [(a, 1), (b, n1), (c, n2)])
+    return GoodRayCertificate(family, n, k, system, checks, emptiness_certificate(system, pencil, r))
 
 
 # -- wonderful-ray reports -------------------------------------------------------------
-
-# derived family -> (source family, split order as a function of n)
-_DERIVED = {
-    "even_plus": ("odd", lambda n: 2),
-    "odd_plus": ("even", lambda n: 2),
-    "sq4": ("even", lambda n: n + 1),
-    "sq2": ("even", lambda n: n + 2),
-}
-
 
 @dataclass(frozen=True)
 class WonderfulReport:
@@ -382,14 +320,13 @@ def wonderful_report(family: str, n: int) -> WonderfulReport:
     """Exact report on one limit ray: closed form against the independent
     construction, self-intersection, canonical pairing, irrationality, the
     De Fernex sign, and convergence certificates for the driving matrix."""
-    if family not in families.WONDERFUL_TAGS:
-        raise ValueError(f"unknown limit-ray family {family!r}; expected one of {families.WONDERFUL_TAGS}")
+    row = families.family(family)
     display = families.wonderful_profile(family, n)
     ray = Ray.from_profile(display)
     checks: list[Check] = []
     candidates: list[tuple[str, str, bool]] = []
 
-    if family in ("odd", "even"):
+    if row.parent is None:
         matrix = families.shape_matrix(family, n)
         try:
             dom = dominant_ray(matrix)
@@ -400,8 +337,7 @@ def wonderful_report(family: str, n: int) -> WonderfulReport:
         expected_canonical = QuadNum(0)
         canonical_stmt = "canonical pairing is exactly 0"
     else:
-        src_tag, order = _DERIVED[family]
-        r = order(n)
+        src_tag, r = row.parent, row.order(n)
         matrix = families.shape_matrix(src_tag, n)
         source = families.wonderful_profile(src_tag, n)
         split = Ray.from_profile(source.uncollide(1, r))
@@ -433,7 +369,7 @@ def wonderful_report(family: str, n: int) -> WonderfulReport:
     pairing = display.canonical_pairing()
     checks.append(Check("self-intersection", "exact self-intersection is 0", display.self_intersection() == 0))
     checks.append(Check("canonical", canonical_stmt, pairing == expected_canonical))
-    if family not in ("odd", "even"):
+    if row.parent is not None:
         checks.append(Check("canonical-sign", "canonical pairing is strictly positive", pairing.sign() > 0))
     witness = ray.irrationality_witness()
     checks.append(Check("irrational", "the ray has an irrational coordinate", witness is not None))

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from morirays import CharMatrix, DivisorClass, MultiplicityProfile, RadicalSum, Ray
+from morirays import CharMatrix, DivisorClass, MultiplicityProfile, RadicalSum, Ray, families
 from morirays.cli import main
 
 
@@ -132,18 +132,9 @@ def test_verify_alias_and_json(capsys):
     assert data["defernex"]["rows"][0]["sign"] == -1
 
 
-def test_verify_jobs_deterministic(capsys):
-    args = ["verify", "--family", "odd", "--n", "1..2", "--k", "1..2", "--format", "json"]
-    a = run(capsys, *args)
-    b = run(capsys, *args, "--jobs", "4")
-    assert a[0] == b[0] == 0
-    assert a[1] == b[1]
-
-
 def test_verify_usage_errors(capsys):
     assert run(capsys, "verify", "--family", "odd", "--n", "3..2")[0] == 2
     assert run(capsys, "verify", "--family", "odd", "--n", "x..2")[0] == 2
-    assert run(capsys, "verify", "--family", "odd", "--n", "2", "--jobs", "0")[0] == 2
     assert run(capsys, "verify", "--family", "nope", "--n", "2")[0] == 2
 
 
@@ -199,6 +190,40 @@ def test_digits_flag(capsys):
     tail4 = out4.split("~ ")[1].split(" ")[0]
     tail12 = out12.split("~ ")[1].split(" ")[0]
     assert len(tail12) > len(tail4)
+
+
+@pytest.mark.parametrize("digits", ["-1", "-7"])
+@pytest.mark.parametrize("argv", [
+    ["pair", "--ray", "odd:2", "--with", "F"],
+    ["eigenray", "--family", "odd", "--n", "2"],
+    ["verify", "--family", "even", "--n", "2", "--k", "1"],
+], ids=lambda argv: argv[0])
+def test_negative_digits_is_a_usage_error(capsys, argv, digits):
+    assert run(capsys, *argv, "--digits", digits) == (2, "", f"error: --digits must be >= 0, got {digits}\n")
+
+
+@pytest.mark.parametrize("family", families.FAMILIES, ids=lambda f: f.tag)
+def test_alias_gives_the_same_bytes_as_tag(capsys, family):
+    for argv in (["pair", "--ray", "{}:3", "--with", "F"], ["eigenray", "--family", "{}", "--n", "3"]):
+        by_tag = run(capsys, *(a.format(family.tag) for a in argv), "--format", "json")
+        by_alias = run(capsys, *(a.format(family.alias) for a in argv), "--format", "json")
+        assert by_tag[0] == 0 and by_alias == by_tag
+
+
+def test_verify_limit_tag_names_its_good_sweep(capsys):
+    args = ["--n", "1", "--k", "1", "--format", "json"]
+    by_tag = run(capsys, "verify", "--family", "odd_plus", *args)
+    assert by_tag[0] == 0 and by_tag == run(capsys, "verify", "--family", "odd", *args)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pair", "--ray", "mystery:1", "--with", "K"],
+    ["eigenray", "--family", "mystery", "--n", "1"],
+    ["verify", "--family", "mystery", "--n", "1"],
+], ids=lambda argv: argv[0])
+def test_unknown_family_name_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: unknown ")
 
 
 def test_repeated_runs_byte_identical(capsys):
