@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -338,7 +339,9 @@ def cmd_pair(args) -> int:
 # -- entry point ---------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing never mutates it."""
     p = argparse.ArgumentParser(
         prog="morirays",
         description="Exact divisor-class calculus on blowups of the plane.",

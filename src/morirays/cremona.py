@@ -15,6 +15,21 @@ from typing import Iterable, Sequence
 from .lattice import DivisorClass, ShapeError, is_line_pencil_up_to_permutation
 
 
+def _mat_vec(rows: tuple[tuple[int, ...], ...], vec: Sequence) -> tuple:
+    """rows @ vec for a square integer matrix; zero entries are skipped, so a
+    sparse matrix costs one product per nonzero entry."""
+    if len(vec) != len(rows):
+        raise ValueError(f"vector length {len(vec)} != {len(rows)}")
+    out = []
+    for row in rows:
+        acc = row[0] * vec[0]
+        for c, v in zip(row[1:], vec[1:]):
+            if c:
+                acc = acc + c * v
+        out.append(acc)
+    return tuple(out)
+
+
 class CharMatrix:
     __slots__ = ("rows",)
 
@@ -58,18 +73,14 @@ class CharMatrix:
     def transpose(self) -> "CharMatrix":
         return CharMatrix(tuple(zip(*self.rows)))
 
-    def apply(self, x: DivisorClass) -> DivisorClass:
-        """Image of a divisor class; exact for QuadNum coordinates too."""
+    def apply(self, x: DivisorClass | Sequence) -> DivisorClass | tuple:
+        """Image of a divisor class, or of a coordinate vector (d, -m_1, ..., -m_s)
+        as a tuple; exact for int, Fraction and QuadNum coordinates."""
+        if not isinstance(x, DivisorClass):
+            return _mat_vec(self.rows, x)
         if x.s != self.s:
             raise ValueError(f"class has s={x.s}, matrix acts on s={self.s}")
-        vec = [x.degree] + [-m for m in x.mults]
-        out = []
-        for row in self.rows:
-            acc = row[0] * vec[0]
-            for c, v in zip(row[1:], vec[1:]):
-                if c:
-                    acc = acc + c * v
-            out.append(acc)
+        out = _mat_vec(self.rows, (x.degree,) + tuple(-m for m in x.mults))
         return DivisorClass(out[0], [-w for w in out[1:]])
 
     def homaloidal_net(self) -> DivisorClass:
@@ -292,15 +303,7 @@ class ShapeMatrix:
         return len(self.rows)
 
     def apply(self, vec: Sequence) -> tuple:
-        if len(vec) != self.size:
-            raise ValueError(f"vector length {len(vec)} != {self.size}")
-        out = []
-        for row in self.rows:
-            acc = row[0] * vec[0]
-            for c, v in zip(row[1:], vec[1:]):
-                acc = acc + c * v
-            out.append(acc)
-        return tuple(out)
+        return _mat_vec(self.rows, vec)
 
     def __matmul__(self, other: "ShapeMatrix") -> "ShapeMatrix":
         if not isinstance(other, ShapeMatrix):

@@ -87,17 +87,25 @@ class PencilCertificate:
 
 def certify_pencil(x: DivisorClass) -> PencilCertificate:
     red = cremona_reduce(x)
-    chain = [x]
+    # Replay on ints through the local block of one quadratic map rather than
+    # the reducer's own update formula, so the two stay independent.  A map
+    # based at (i, j, k) embeds that block at (0, i, j, k) and fixes every
+    # other coordinate, so only the degree and three multiplicities change.
+    q = quadratic_map((1, 2, 3), 3)
+    d, *mults = (int(c.to_fraction()) for c in x.coordinates())
+    nonneg = d > 0 and all(m >= 0 for m in mults)
     for t in red.steps:
-        chain.append(quadratic_map(t, x.s).apply(chain[-1]))
-    nonneg = all(m.sign() >= 0 for c in chain for m in c.mults) and all(
-        c.degree.sign() > 0 for c in chain
-    )
+        if len(set(t)) != 3 or not all(1 <= p <= x.s for p in t):
+            raise ValueError(f"recorded step {t} is not three distinct points in 1..{x.s}")
+        i, j, k = (p - 1 for p in t)
+        d, *local = q.apply((d, -mults[i], -mults[j], -mults[k]))
+        mults[i], mults[j], mults[k] = (-v for v in local)
+        nonneg = nonneg and d > 0 and min(mults[i], mults[j], mults[k]) >= 0
     return PencilCertificate(
         system=x,
         reduction=red,
         endpoint_is_line_pencil=red.is_line_pencil,
-        replay_ok=chain[-1] == red.reduced,
+        replay_ok=DivisorClass(d, mults) == red.reduced,
         nonnegative_throughout=nonneg,
     )
 

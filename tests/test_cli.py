@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from morirays import CharMatrix, DivisorClass, MultiplicityProfile, RadicalSum, Ray, families
-from morirays.cli import main
+from morirays.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -229,6 +229,18 @@ def test_unknown_family_name_is_a_usage_error(capsys, argv):
 def test_repeated_runs_byte_identical(capsys):
     args = ["eigenray", "--family", "sq2", "--n", "1", "--format", "json"]
     assert run(capsys, *args)[1] == run(capsys, *args)[1]
+
+
+def test_parser_reused_after_a_usage_error(capsys):
+    valid = ["pair", "--ray", "odd:2", "--with", "K"]
+    alone = run(capsys, *valid)
+    with pytest.raises(SystemExit) as exc:
+        main(["pair", "--ray", "odd:2", "--with", "X", "--format", "csv", "--digits", "3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *valid, "--digits", "-1")[0] == 2
+    assert alone[0] == 0 and run(capsys, *valid) == alone
+    assert build_parser() is build_parser()
 
 
 def test_console_script_and_module():

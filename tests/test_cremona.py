@@ -1,5 +1,7 @@
 """Characteristic matrices: generators, composites, validation, reduction."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -102,6 +104,28 @@ def test_apply_examples():
     assert q.apply(DivisorClass(2, [1, 1, 1])) == DivisorClass(1, [0, 0, 0])
     # the exceptional curve over p1 maps to the line through p2, p3
     assert q.apply(DivisorClass(0, [-1, 0, 0])) == DivisorClass(1, [0, 1, 1])
+
+
+def test_apply_on_coordinates_matches_the_divisor_class_path():
+    rng = random.Random(20261018)
+    builds = ((quadratic_map, 3), (sturm_map, 6), (geiser_map, 7))
+    for _ in range(200):
+        s = rng.randrange(7, 12)
+        m = CharMatrix.identity(s)
+        for _ in range(rng.randrange(1, 6)):
+            build, size = rng.choice(builds)
+            m = compose(build(tuple(rng.sample(range(1, s + 1), size)), s), m)
+        d, mults = rng.randrange(-9, 10), [rng.randrange(-6, 7) for _ in range(s)]
+        out = m.apply((d, *(-v for v in mults)))
+        assert type(out) is tuple and all(type(v) is int for v in out)
+        assert DivisorClass(out[0], [-v for v in out[1:]]) == m.apply(DivisorClass(d, mults))
+
+
+def test_apply_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(ValueError, match="vector length 3 != 4"):
+        quadratic_map((1, 2, 3), 3).apply((1, 0, 0))
+    with pytest.raises(ValueError, match="vector length 3 != 2"):
+        ShapeMatrix([[2, -1], [-3, 2]], counts=(1,)).apply((1, 1, 1))
 
 
 def test_compose_applies_second_argument_first():

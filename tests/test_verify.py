@@ -1,10 +1,11 @@
 """Machine checks: pencil certificates, emptiness rules, good rays, sign sweeps."""
 
+import dataclasses
 import json
 
 import pytest
 
-from morirays import DivisorClass, line_pencil_class
+from morirays import DivisorClass, line_pencil_class, verify
 from morirays.families import pencil_profile, primed_pencil_profile
 from morirays.verify import (
     certify_pencil,
@@ -78,6 +79,58 @@ def test_pencil_certificate_json():
     data = cert.to_json()
     assert data["valid"] is True
     assert data["reduction"]["steps"] == [[1, 2, 3], [1, 4, 5], [6, 7, 8], [9, 10, 11], [1, 6, 7]]
+
+
+@pytest.mark.parametrize("family,n,k", [("even", 2, 1), ("odd", 3, 2), ("sq4", 5, 4), ("sq2", 2, 1), ("sq2", 5, 4)])
+def test_integer_replay_agrees_with_full_matrix_replay(family, n, k):
+    cert = verify_good(family, n, k).pencil
+    assert cert.replay_ok is cert.reduction.replay() is True
+
+
+def test_pencil_certificate_at_s48():
+    cert = certify_pencil(primed_pencil_profile(20, 10).expand())
+    assert cert.system.s == 48 and len(cert.reduction.steps) == 462
+    assert cert.valid
+
+
+def _forge(monkeypatch, change):
+    """Make certify_pencil see `change(x, honest reduction)` as the reduction."""
+    honest = verify.cremona_reduce
+    monkeypatch.setattr(verify, "cremona_reduce", lambda x: change(x, honest(x)))
+
+
+def test_replay_rejects_a_forged_endpoint(monkeypatch):
+    # the honest endpoint is a line pencil; moving its one multiplicity keeps
+    # it a line pencil, so only the replay can tell
+    def move_the_point(x, red):
+        mults = red.reduced.mults
+        return dataclasses.replace(red, reduced=DivisorClass(red.reduced.degree, mults[-1:] + mults[:-1]))
+
+    _forge(monkeypatch, move_the_point)
+    cert = certify_pencil(primed_pencil_profile(2, 1).expand())
+    assert cert.reduction.is_reduced and cert.endpoint_is_line_pencil
+    assert not cert.replay_ok and not cert.reduction.replay()
+    assert cert.failure == "replay of the recorded quadratic maps diverged"
+
+
+def test_replay_checks_signs_between_the_ends(monkeypatch):
+    # the line through p1 and p2 maps to E_3 (degree 0, multiplicity -1);
+    # repeating the step lands back on the nonnegative start
+    def repeat_the_last_step(x, red):
+        return dataclasses.replace(red, reduced=x, steps=red.steps + red.steps[-1:])
+
+    _forge(monkeypatch, repeat_the_last_step)
+    cert = certify_pencil(DivisorClass(1, [1, 1, 0]))
+    assert cert.reduction.steps == ((1, 2, 3), (1, 2, 3))
+    assert cert.replay_ok
+    assert not cert.nonnegative_throughout and not cert.valid
+
+
+@pytest.mark.parametrize("step", [(1, 1, 2), (0, 1, 2), (1, 2, 13)])
+def test_replay_rejects_malformed_steps(monkeypatch, step):
+    _forge(monkeypatch, lambda x, red: dataclasses.replace(red, steps=red.steps + (step,)))
+    with pytest.raises(ValueError, match="not three distinct points in 1..12"):
+        certify_pencil(primed_pencil_profile(2, 1).expand())
 
 
 @pytest.mark.parametrize("family,n,k,rule", RULES)
