@@ -398,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.digits < 0:
             raise UsageError(f"--digits must be >= 0, got {args.digits}")
         return args.func(args)
-    except (UsageError, ValueError, SpectrumError) as e:
+    except (UsageError, ValueError, SpectrumError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -274,10 +274,11 @@ def surface_points(tag: str, n: int) -> int:
 # -- pencil orbits --------------------------------------------------------------------
 
 
-def _orbit_profile(m: ShapeMatrix, k: int) -> MultiplicityProfile:
+def _orbit_profile(m: ShapeMatrix, k: int, row: tuple[int, ...] | None = None) -> MultiplicityProfile:
     if k < 0:
         raise ValueError(f"orbit index must be >= 0, got {k}")
-    row = iterate(m, PENCIL_SEED, k).term(k)
+    if row is None:
+        row = iterate(m, PENCIL_SEED, k).term(k)
     return MultiplicityProfile(row[0], list(zip(row[1:], m.counts)))
 
 
@@ -294,12 +295,13 @@ def primed_pencil_profile(n: int, k: int) -> MultiplicityProfile:
 # -- good-ray families -----------------------------------------------------------------
 
 
-def good_profile(tag: str, n: int, k: int) -> MultiplicityProfile:
+def good_profile(tag: str, n: int, k: int, row: tuple[int, ...] | None = None) -> MultiplicityProfile:
     """Order-r split, at its first point, of the r-scaled k-th pencil class
-    of the parent family."""
+    of the parent family.  A caller that already holds that class's orbit
+    row (d, a, b, c) passes it as `row`, and the orbit is not iterated again."""
     f = good_family(tag)
     r = f.order(n)
-    return (r * _orbit_profile(shape_matrix(f.parent, n), k)).uncollide(1, r)
+    return (r * _orbit_profile(shape_matrix(f.parent, n), k, row)).uncollide(1, r)
 
 
 def good_even(n: int, k: int) -> MultiplicityProfile:

@@ -22,20 +22,32 @@ class MixedRadicandError(ValueError):
 
 
 def split_square(n: int) -> tuple[int, int]:
-    """Largest square factor: n = f*f*m with m squarefree; returns (f, m)."""
+    """Largest square factor: n = f*f*m with m squarefree; returns (f, m).
+
+    Trial division strips each prime p while p**3 is at most the cofactor
+    left.  That cofactor then has no prime factor below p and is less than
+    p**3, so it has at most two prime factors: it is a prime square or
+    squarefree, and one isqrt settles which.
+    """
     if n < 0:
         raise ValueError(f"negative radicand {n}")
     if n == 0:
         return 1, 0
-    f = 1
-    m = n
-    d = 2
-    while d * d <= m:
-        while m % (d * d) == 0:
-            f *= d
-            m //= d * d
-        d += 1
-    return f, m
+    f, m, rest = 1, 1, n
+    p = 2
+    while p * p * p <= rest:
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            f *= p ** (e // 2)
+            m *= p ** (e % 2)
+        p += 1 if p == 2 else 2
+    r = isqrt(rest)
+    if r * r == rest:
+        return f * r, m
+    return f, m * rest
 
 
 def _frac(x: RationalLike) -> Fraction:
@@ -48,7 +60,10 @@ class QuadNum:
     """Element a + b*sqrt(rad) of a real quadratic field.
 
     Canonical form: rad squarefree >= 2 with b != 0, or rad == 1 with b == 0.
-    The constructor normalizes any (a, b, rad) with rad >= 0 into this form.
+    The constructor normalizes any (a, b, rad) with rad >= 0 into this form;
+    it is the only place a radicand is factored.  Arithmetic results are
+    built by `_from_squarefree` on the operands' radicand, which is already
+    squarefree.
     """
 
     __slots__ = ("a", "b", "rad")
@@ -90,7 +105,7 @@ class QuadNum:
         return self.a
 
     def conjugate(self) -> "QuadNum":
-        return QuadNum(self.a, -self.b, self.rad)
+        return _from_squarefree(self.a, -self.b, self.rad)
 
     def norm(self) -> Fraction:
         return self.a * self.a - self.b * self.b * self.rad
@@ -99,7 +114,7 @@ class QuadNum:
         if isinstance(other, QuadNum):
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadNum(other)
+            return _from_squarefree(Fraction(other), _ZERO, 1)
         return None
 
     def _join_rad(self, other: "QuadNum") -> int:
@@ -113,7 +128,7 @@ class QuadNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadNum(self.a + o.a, self.b + o.b, self._join_rad(o))
+        return _from_squarefree(self.a + o.a, self.b + o.b, self._join_rad(o))
 
     __radd__ = __add__
 
@@ -121,20 +136,20 @@ class QuadNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadNum(self.a - o.a, self.b - o.b, self._join_rad(o))
+        return _from_squarefree(self.a - o.a, self.b - o.b, self._join_rad(o))
 
     def __rsub__(self, other: QuadLike) -> "QuadNum":
         return (-self) + other
 
     def __neg__(self) -> "QuadNum":
-        return QuadNum(-self.a, -self.b, self.rad)
+        return _from_squarefree(-self.a, -self.b, self.rad)
 
     def __mul__(self, other: QuadLike) -> "QuadNum":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         n = self._join_rad(o)
-        return QuadNum(self.a * o.a + self.b * o.b * n, self.a * o.b + self.b * o.a, n)
+        return _from_squarefree(self.a * o.a + self.b * o.b * n, self.a * o.b + self.b * o.a, n)
 
     __rmul__ = __mul__
 
@@ -143,7 +158,7 @@ class QuadNum:
         if nrm == 0:
             # norm vanishes only at zero: rad squarefree >= 2 makes sqrt(rad) irrational
             raise ZeroDivisionError("inverse of zero")
-        return QuadNum(self.a / nrm, -self.b / nrm, self.rad)
+        return _from_squarefree(self.a / nrm, -self.b / nrm, self.rad)
 
     def __truediv__(self, other: QuadLike) -> "QuadNum":
         o = self._coerce(other)
@@ -159,7 +174,7 @@ class QuadNum:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = QuadNum(1)
+        out = _from_squarefree(Fraction(1), _ZERO, 1)
         base = self
         while k:
             if k & 1:
@@ -259,6 +274,19 @@ class QuadNum:
     @classmethod
     def from_json(cls, data: dict) -> "QuadNum":
         return cls(Fraction(*data["a"]), Fraction(*data["b"]), data["rad"])
+
+
+_ZERO = Fraction(0)
+
+
+def _from_squarefree(a: Fraction, b: Fraction, rad: int) -> QuadNum:
+    """a + b*sqrt(rad) for a squarefree rad, as arithmetic produces it: only
+    a vanished b needs folding into the canonical rad == 1."""
+    q = object.__new__(QuadNum)
+    object.__setattr__(q, "a", a)
+    object.__setattr__(q, "b", b)
+    object.__setattr__(q, "rad", rad if b else 1)
+    return q
 
 
 def _round_str(v: Fraction, digits: int) -> str:

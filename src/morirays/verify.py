@@ -42,7 +42,12 @@ class Check:
 @dataclass(frozen=True)
 class PencilCertificate:
     """Witness that a class is a Cremona transform of the pencil of lines
-    through one point, hence dim of its m-th multiple is exactly m."""
+    through one point, hence dim of its m-th multiple is exactly m.
+
+    `nonnegative_throughout` documents the chain; it is not an independent
+    guard.  Every class along a chain of quadratic maps that ends at a line
+    pencil is a Cremona image of that pencil, hence nonnegative, so it cannot
+    be False once the endpoint and replay checks pass."""
 
     system: DivisorClass
     reduction: ReductionResult
@@ -241,9 +246,10 @@ def verify_good(family: str, n: int, k: int) -> GoodRayCertificate:
     parent = families.family(row.parent)
     r = row.order(n)
     matrix = parent.matrix(n)
-    d, a, b, c = iterate(matrix, families.PENCIL_SEED, k).term(k)
+    orbit_row = iterate(matrix, families.PENCIL_SEED, k).term(k)
+    d, a, b, c = orbit_row
     _, n1, n2 = matrix.counts
-    system = families.good_profile(family, n, k)
+    system = families.good_profile(family, n, k, orbit_row)
     displayed = MultiplicityProfile(r * d, [(a, r * r), (r * b, n1), (r * c, n2)])
     checks = (
         Check("construction", f"system equals the order-{r} split of the {parent.scaling} pencil",

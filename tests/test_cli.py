@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from morirays import CharMatrix, DivisorClass, MultiplicityProfile, RadicalSum, Ray, families
+from morirays import CharMatrix, DivisorClass, MultiplicityProfile, RadicalSum, Ray, families, verify
 from morirays.cli import build_parser, main
 
 
@@ -224,6 +224,15 @@ def test_verify_limit_tag_names_its_good_sweep(capsys):
 def test_unknown_family_name_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "") and err.startswith("error: unknown ")
+
+
+def test_unsettled_reduction_is_an_error_not_a_traceback(capsys, monkeypatch):
+    def unsettled(x, max_steps=100000):
+        raise RuntimeError("reduction did not settle within 5 steps")
+
+    monkeypatch.setattr(verify, "cremona_reduce", unsettled)
+    code, out, err = run(capsys, "verify", "--family", "even", "--n", "2", "--k", "1")
+    assert (code, out, err) == (2, "", "error: reduction did not settle within 5 steps\n")
 
 
 def test_repeated_runs_byte_identical(capsys):

@@ -1,12 +1,13 @@
 """Exact quadratic arithmetic: normalization, sign decisions, radical sums."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from morirays import MixedRadicandError, QuadNum, RadicalSum
+from morirays import MixedRadicandError, QuadNum, RadicalSum, families, quadfield
 from morirays.quadfield import split_square
 
 F = Fraction
@@ -52,6 +53,72 @@ def test_split_square():
         split_square(-4)
 
 
+def _split_square_by_sqrt_loop(n):
+    """The trial division to the square root that split_square used to run."""
+    if n == 0:
+        return 1, 0
+    f, m, d = 1, n, 2
+    while d * d <= m:
+        while m % (d * d) == 0:
+            f *= d
+            m //= d * d
+        d += 1
+    return f, m
+
+
+def test_split_square_matches_the_square_root_loop():
+    for n in range(10**5):
+        assert split_square(n) == _split_square_by_sqrt_loop(n), n
+
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _primes_from(start, count):
+    out, p = [], start
+    while len(out) < count:
+        if _is_prime(p):
+            out.append(p)
+        p += 1
+    return out
+
+
+def test_split_square_at_the_cube_root_boundary():
+    # Loop bounds off by one step show here: a cofactor p^3, p^2*q or p*q*r
+    # with all primes close together sits right at the cube-root bound.
+    rng = random.Random(20260)
+    for _ in range(60):
+        p, q, r = _primes_from(rng.randrange(2, 1 << rng.randint(2, 16)), 3)
+        k = rng.choice([1, 2, 3, 6, 7])  # squarefree, coprime to p, q, r when they exceed 7
+        cases = [
+            (p * p * q, (p, q)),
+            (p * q * q, (q, p)),
+            (p * q, (1, p * q)),
+            (p * p, (p, 1)),
+            (p ** 3, (p, p)),
+            (p * q * r, (1, p * q * r)),
+            (p * p * q * q, (p * q, 1)),
+        ]
+        for n, (f, m) in cases:
+            if p > 7:
+                n, m = n * k, m * k
+            assert split_square(n) == (f, m), n
+            assert split_square(4 * n) == (2 * f, m), 4 * n
+
+
+def test_split_square_against_factorint():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.getrandbits(rng.randint(30, 60)) | 1 << 29
+        f, m = 1, 1
+        for p, e in sympy.factorint(n).items():
+            f *= p ** (e // 2)
+            m *= p ** (e % 2)
+        assert split_square(n) == (f, m), n
+
+
 def test_sqrt():
     assert QuadNum.sqrt(8) == QuadNum(0, 2, 2)
     assert QuadNum.sqrt(F(9, 4)) == QuadNum(F(3, 2))
@@ -93,6 +160,31 @@ def test_pow_and_norm():
     assert golden ** -2 == QuadNum(3, -2, 2)
     assert golden.norm() == -1
     assert golden.conjugate() == QuadNum(1, -1, 2)
+
+
+def test_arithmetic_does_not_refactor_the_radicand(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return split_square(n)
+
+    monkeypatch.setattr(quadfield, "split_square", counting)
+    x = families.beta(10**4)
+    y = QuadNum(F(3, 7), -5, x.rad)
+    assert len(calls) == 2 and calls[0].bit_length() == 33
+    results = [x + y, x - y, x * y, x / y, x ** 3, y ** -2, -x, x.conjugate(), x.inverse(), abs(y),
+               x + 1, 2 - x, 3 * x, 1 / x, x / F(1, 2)]
+    assert y < x and x >= y and x != y and x == x + 0
+    assert len(calls) == 2
+    assert all(r.rad == x.rad and r.b != 0 for r in results)
+
+    for zero_b in (x - x, x * x.conjugate()):
+        assert zero_b.b == 0 and zero_b.rad == 1
+    three = QuadNum(3)
+    assert three + 0 * x == three and hash(three + 0 * x) == hash(three)
+    with pytest.raises(MixedRadicandError):
+        x + QuadNum(0, 1, 2)
 
 
 def test_str():
@@ -171,6 +263,17 @@ def test_field_axioms(xyz):
     assert x + 0 == x and x * 1 == x
     if x:
         assert x * x.inverse() == QuadNum(1)
+
+
+@given(quad_triples())
+def test_arithmetic_results_are_canonical(xyz):
+    x, y, _ = xyz
+    results = [x + y, x - y, x * y, -x, x.conjugate(), x ** 2, x + 1, 2 * y]
+    if y:
+        results += [x / y, y.inverse()]
+    for r in results:
+        again = QuadNum(r.a, r.b, r.rad)
+        assert (r.a, r.b, r.rad) == (again.a, again.b, again.rad)
 
 
 @given(quad_triples())
