@@ -193,7 +193,7 @@ def cmd_eigenray(args) -> int:
     matrix = families.shape_matrix(families.family(tag).parent or tag, args.n)
     dec = eigen(matrix)
     try:
-        cert = certify_convergence(matrix, families.LINE_SEED).to_json()
+        cert = certify_convergence(dec, families.LINE_SEED).to_json()
     except SpectrumError as e:
         cert = {"error": str(e)}
 

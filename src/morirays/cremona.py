@@ -70,9 +70,6 @@ class CharMatrix:
     def __hash__(self) -> int:
         return hash(self.rows)
 
-    def transpose(self) -> "CharMatrix":
-        return CharMatrix(tuple(zip(*self.rows)))
-
     def apply(self, x: DivisorClass | Sequence) -> DivisorClass | tuple:
         """Image of a divisor class, or of a coordinate vector (d, -m_1, ..., -m_s)
         as a tuple; exact for int, Fraction and QuadNum coordinates."""
@@ -390,12 +387,6 @@ class ReductionResult:
     @property
     def is_line_pencil(self) -> bool:
         return is_line_pencil_up_to_permutation(self.reduced)
-
-    @property
-    def has_negative_multiplicity(self) -> bool:
-        from .quadfield import QuadNum
-
-        return any(m < QuadNum(0) for m in self.reduced.mults)
 
     def replay(self) -> bool:
         """Re-apply the recorded quadratic maps; must land on `reduced`."""

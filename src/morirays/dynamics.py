@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .cremona import ShapeMatrix
@@ -245,40 +245,35 @@ def eigen(m: ShapeMatrix) -> EigenDecomposition:
 
 
 class Ray:
-    """Half-line of divisor classes, stored canonically.
+    """Half-line of divisor classes, stored canonically on multiplicity blocks.
 
     Canonical form: divide by the absolute value of the first nonzero
-    coordinate, then clear rational denominators and integer content.  Two
-    rays are equal iff their canonical forms coincide, regardless of the
-    (possibly irrational) positive scalar between representatives.
+    coordinate, clear rational denominators and integer content over the
+    degree and the block values, then merge adjacent equal blocks.  Two rays
+    are equal iff their canonical forms coincide, regardless of the (possibly
+    irrational) positive scalar between representatives or of how the points
+    were grouped into blocks.  Only `to_json` lists every point.
     """
 
     __slots__ = ("rep",)
 
-    def __init__(self, x: DivisorClass):
-        lead = next((c for c in x.coordinates() if c), None)
+    def __init__(self, x: MultiplicityProfile | DivisorClass):
+        p = x.to_profile() if isinstance(x, DivisorClass) else x
+        lead = next((c for c in (p.degree,) + p.values if c), None)
         if lead is None:
             raise ValueError("zero class spans no ray")
-        unit = abs(lead).inverse()
-        parts = [x.degree * unit] + [m * unit for m in x.mults]
-        denom = 1
-        for c in parts:
-            for f in (c.a, c.b):
-                denom = denom * f.denominator // gcd(denom, f.denominator)
-        content = 0
-        for c in parts:
-            for f in (c.a, c.b):
-                content = gcd(content, (f * denom).numerator)
-        scale = Fraction(denom, content)
-        rep = DivisorClass(parts[0] * scale, [m * scale for m in parts[1:]])
-        object.__setattr__(self, "rep", rep)
+        p = p.scale(abs(lead).inverse())
+        parts = [f for c in (p.degree,) + p.values for f in (c.a, c.b)]
+        denom = lcm(*(f.denominator for f in parts))
+        content = gcd(*((f * denom).numerator for f in parts))
+        object.__setattr__(self, "rep", p.scale(Fraction(denom, content)).canonical())
 
     def __setattr__(self, name, value):
         raise AttributeError("Ray is immutable")
 
     @classmethod
     def from_profile(cls, p: MultiplicityProfile) -> "Ray":
-        return cls(p.expand())
+        return cls(p)
 
     @property
     def s(self) -> int:
@@ -286,14 +281,18 @@ class Ray:
 
     @property
     def is_rational(self) -> bool:
-        return self.rep.is_rational
+        return self.irrationality_witness() is None
 
     def irrationality_witness(self) -> tuple[int, QuadNum] | None:
         """(coordinate index, value) of the first irrational coordinate; the
         index is 0 for the degree, i >= 1 for E_i.  None for rational rays."""
-        for i, c in enumerate(self.rep.coordinates()):
-            if not c.is_rational:
-                return i, c
+        if not self.rep.degree.is_rational:
+            return 0, self.rep.degree
+        point = 1
+        for v, c in self.rep.blocks:
+            if not v.is_rational:
+                return point, v
+            point += c
         return None
 
     def uncollide(self, point: int, r: int) -> "Ray":
@@ -314,18 +313,18 @@ class Ray:
         return f"Ray({self.rep!r})"
 
     def to_json(self) -> dict:
-        return {"class": self.rep.to_json(), "rational": self.is_rational}
+        return {"class": self.rep.expand().to_json(), "rational": self.is_rational}
 
 
-def dominant_ray(m: ShapeMatrix) -> Ray:
-    """Ray of the strictly dominant eigenvector, expanded to the full blowup."""
-    dec = eigen(m)
+def dominant_ray(m: ShapeMatrix | EigenDecomposition) -> Ray:
+    """Ray of the strictly dominant eigenvector, on the blocks of the matrix's
+    shape.  Takes the matrix or its decomposition."""
+    dec = m if isinstance(m, EigenDecomposition) else eigen(m)
     dom = dec.dominant
     if dom.geometric != 1 or dom.algebraic != 1:
         raise SpectrumError(f"dominant eigenvalue {dom.value} is not simple")
     vec = dom.vectors[0]
-    profile = MultiplicityProfile(vec[0], list(zip(vec[1:], m.counts)))
-    return Ray.from_profile(profile)
+    return Ray(MultiplicityProfile(vec[0], list(zip(vec[1:], dec.matrix.counts))))
 
 
 # -- orbits -----------------------------------------------------------------------
@@ -412,8 +411,10 @@ def _dot(u: Sequence[QuadNum], v: Sequence) -> QuadNum:
     return acc
 
 
-def certify_convergence(m: ShapeMatrix, seed: Sequence[int]) -> ConvergenceCertificate:
-    dec = eigen(m)
+def certify_convergence(m: ShapeMatrix | EigenDecomposition, seed: Sequence[int]) -> ConvergenceCertificate:
+    """Certificate for the orbit of `seed`; takes the matrix or its decomposition."""
+    dec = m if isinstance(m, EigenDecomposition) else eigen(m)
+    m = dec.matrix
     dom = dec.dominant
     if dom.algebraic != 1:
         raise SpectrumError(f"dominant eigenvalue {dom.value} is not simple")

@@ -332,4 +332,4 @@ def wonderful_profile(tag: str, n: int) -> MultiplicityProfile:
 
 
 def wonderful_ray(tag: str, n: int) -> Ray:
-    return Ray.from_profile(wonderful_profile(tag, n))
+    return Ray(wonderful_profile(tag, n))

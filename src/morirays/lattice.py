@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .quadfield import MixedRadicandError, QuadNum, RadicalSum
+from .quadfield import QuadNum, RadicalSum
 
 Coord = "int | Fraction | QuadNum"
 
@@ -75,13 +75,6 @@ class DivisorClass:
     def coordinates(self) -> tuple[QuadNum, ...]:
         return (self.degree,) + self.mults
 
-    def radicand(self) -> int:
-        """Common radicand of all coordinates (1 if rational); error if mixed."""
-        rads = {c.rad for c in self.coordinates() if c.rad != 1}
-        if len(rads) > 1:
-            raise MixedRadicandError(f"coordinates mix radicands {sorted(rads)}")
-        return rads.pop() if rads else 1
-
     @property
     def is_rational(self) -> bool:
         return all(c.is_rational for c in self.coordinates())
@@ -120,17 +113,6 @@ class DivisorClass:
             terms.append((-m.a, 1))
             terms.append((-m.b, m.rad))
         return RadicalSum(terms)
-
-    def defernex_pairing(self) -> QuadNum:
-        """Pairing with F_s when the value stays in one quadratic field."""
-        rs = self.defernex_value()
-        irr = [(r, c) for r, c in rs.terms if r != 1]
-        if len(irr) > 1:
-            raise MixedRadicandError(
-                f"pairing with F_{self.s} leaves the field: radicands {[r for r, _ in irr]}"
-            )
-        rat = next((c for r, c in rs.terms if r == 1), Fraction(0))
-        return QuadNum(rat, irr[0][1], irr[0][0]) if irr else QuadNum(rat)
 
     def defernex_sign(self) -> int:
         return self.defernex_value().sign()
@@ -279,17 +261,18 @@ class MultiplicityProfile:
     @classmethod
     def group(cls, divisor: DivisorClass) -> "MultiplicityProfile":
         """Run-length encode consecutive equal multiplicities."""
-        blocks: list[tuple[QuadNum, int]] = []
-        for m in divisor.mults:
-            if blocks and blocks[-1][0] == m:
-                blocks[-1] = (m, blocks[-1][1] + 1)
-            else:
-                blocks.append((m, 1))
-        return cls(divisor.degree, blocks)
+        return cls(divisor.degree, [(m, 1) for m in divisor.mults]).canonical()
 
     def canonical(self) -> "MultiplicityProfile":
-        """Merge adjacent equal-valued blocks."""
-        return MultiplicityProfile.group(self.expand()) if self.blocks else self
+        """Merge adjacent equal-valued blocks: the one run-length encoding of
+        the expanded class."""
+        blocks: list[tuple[QuadNum, int]] = []
+        for v, c in self.blocks:
+            if blocks and blocks[-1][0] == v:
+                blocks[-1] = (v, blocks[-1][1] + c)
+            else:
+                blocks.append((v, c))
+        return MultiplicityProfile(self.degree, blocks)
 
     def _locate(self, point: int) -> tuple[int, int]:
         if point < 1:

@@ -61,7 +61,8 @@ class QuadNum:
 
     Canonical form: rad squarefree >= 2 with b != 0, or rad == 1 with b == 0.
     The constructor normalizes any (a, b, rad) with rad >= 0 into this form;
-    it is the only place a radicand is factored.  Arithmetic results are
+    it is the only place a radicand is factored, and it passes the trivial
+    radicands 0 and 1 through without factoring.  Arithmetic results are
     built by `_from_squarefree` on the operands' radicand, which is already
     squarefree.
     """
@@ -73,7 +74,7 @@ class QuadNum:
         b = _frac(b)
         if not isinstance(rad, int):
             raise TypeError(f"radicand must be int, got {type(rad).__name__}")
-        f, m = split_square(rad)
+        f, m = (1, rad) if rad in (0, 1) else split_square(rad)
         if m <= 1 or b == 0:
             # sqrt(rad) is rational (or irrelevant): fold it into a
             a, b, m = a + b * f * m, Fraction(0), 1
@@ -363,12 +364,13 @@ class RadicalSum:
         rat = next((c for r, c in self.terms if r == 1), Fraction(0))
         if not irr:
             return (rat > 0) - (rat < 0)
+        # the constructor left every radicand in `terms` squarefree
         if len(irr) == 1:
-            return QuadNum(rat, irr[0][1], irr[0][0]).sign()
+            return _from_squarefree(rat, irr[0][1], irr[0][0]).sign()
         if len(irr) > 2:
             raise MixedRadicandError(f"sign undecided for {len(irr)} distinct radicands")
         (n1, c1), (n2, c2) = irr
-        u = QuadNum(rat, c1, n1)
+        u = _from_squarefree(rat, c1, n1)
         # compare u against -c2*sqrt(n2); squares settle it within Q(sqrt(n1))
         t = (u * u - c2 * c2 * n2).sign()
         assert t != 0  # equality would force sqrt(n1*n2) rational

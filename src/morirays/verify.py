@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import families
 from .cremona import ReductionResult, cremona_reduce, quadratic_map
-from .dynamics import ConvergenceCertificate, Ray, SpectrumError, certify_convergence, dominant_ray, iterate
+from .dynamics import ConvergenceCertificate, Ray, SpectrumError, certify_convergence, dominant_ray, eigen, iterate
 from .lattice import DivisorClass, MultiplicityProfile, is_line_pencil_up_to_permutation
 from .quadfield import QuadNum, RadicalSum
 
@@ -320,11 +320,11 @@ class WonderfulReport:
         }
 
 
-def _convergence_entries(matrix) -> tuple[tuple[tuple[int, ...], ConvergenceCertificate | None], ...]:
+def _convergence_entries(spectrum) -> tuple[tuple[tuple[int, ...], ConvergenceCertificate | None], ...]:
     entries = []
     for seed in (families.LINE_SEED, families.PENCIL_SEED):
         try:
-            entries.append((seed, certify_convergence(matrix, seed)))
+            entries.append((seed, certify_convergence(spectrum, seed)))
         except SpectrumError:
             entries.append((seed, None))
     return tuple(entries)
@@ -336,15 +336,18 @@ def wonderful_report(family: str, n: int) -> WonderfulReport:
     De Fernex sign, and convergence certificates for the driving matrix."""
     row = families.family(family)
     display = families.wonderful_profile(family, n)
-    ray = Ray.from_profile(display)
+    ray = Ray(display)
     checks: list[Check] = []
     candidates: list[tuple[str, str, bool]] = []
+    matrix = families.shape_matrix(row.parent or family, n)
+    try:
+        spectrum = eigen(matrix)
+    except SpectrumError:
+        spectrum = matrix  # the checks below meet the same error and record it
 
     if row.parent is None:
-        matrix = families.shape_matrix(family, n)
         try:
-            dom = dominant_ray(matrix)
-            ok = dom == ray
+            ok = dominant_ray(spectrum) == ray
             checks.append(Check("dominant-ray", "closed form spans the dominant eigenray", ok))
         except SpectrumError as e:
             checks.append(Check("dominant-ray", f"dominant eigenray unavailable: {e}", False))
@@ -352,9 +355,8 @@ def wonderful_report(family: str, n: int) -> WonderfulReport:
         canonical_stmt = "canonical pairing is exactly 0"
     else:
         src_tag, r = row.parent, row.order(n)
-        matrix = families.shape_matrix(src_tag, n)
         source = families.wonderful_profile(src_tag, n)
-        split = Ray.from_profile(source.uncollide(1, r))
+        split = Ray(source.uncollide(1, r))
         ok = split == ray
         checks.append(
             Check("formal-uncollision", f"closed form spans the order-{r} split of the {src_tag} limit ray", ok)
@@ -374,7 +376,7 @@ def wonderful_report(family: str, n: int) -> WonderfulReport:
                 )
             else:
                 candidates.append(
-                    ("order-2 split of the odd limit ray", "compared exactly", Ray.from_profile(other) == ray)
+                    ("order-2 split of the odd limit ray", "compared exactly", Ray(other) == ray)
                 )
         top = display.blocks[0][0]
         expected_canonical = (r * r - r) * top
@@ -390,7 +392,7 @@ def wonderful_report(family: str, n: int) -> WonderfulReport:
 
     value = display.defernex_value()
     sign = value.sign()
-    convergence = _convergence_entries(matrix)
+    convergence = _convergence_entries(spectrum)
     for seed, cert in convergence:
         if cert is None:
             checks.append(Check("convergence", f"seed {seed}: no simple dominant eigenvalue", False))
@@ -410,7 +412,7 @@ def wonderful_report(family: str, n: int) -> WonderfulReport:
         display=display,
         ray=ray,
         checks=tuple(checks),
-        canonical_pairing=pairing if isinstance(pairing, QuadNum) else QuadNum(pairing),
+        canonical_pairing=pairing,
         defernex_value=value,
         defernex_sign=sign,
         irrationality=witness,

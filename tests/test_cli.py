@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from morirays import CharMatrix, DivisorClass, MultiplicityProfile, RadicalSum, Ray, families, verify
+from morirays import CharMatrix, DivisorClass, MultiplicityProfile, RadicalSum, Ray, dynamics, families, verify
 from morirays.cli import build_parser, main
+from morirays.dynamics import char_poly
 
 
 def run(capsys, *argv):
@@ -263,3 +264,28 @@ def test_console_script_and_module():
     bad = subprocess.run([sys.executable, "-m", "morirays", "verify", "--family", "even",
                           "--n", "2", "--k", "0"], capture_output=True, text=True)
     assert bad.returncode == 1
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "csv"])
+def test_eigenray_on_a_hundred_million_points_never_expands(capsys, monkeypatch, fmt):
+    def expand(self):
+        raise AssertionError(f"expanded a profile on {self.s} points")
+
+    monkeypatch.setattr(MultiplicityProfile, "expand", expand)
+    code, out, err = run(capsys, "eigenray", "--family", "sq2", "--n", "10000", "--format", fmt)
+    assert code == 0 and err == ""
+    assert "100040004" in out
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+@pytest.mark.parametrize("family", [f.tag for f in families.FAMILIES])
+def test_eigenray_decomposes_once(capsys, monkeypatch, family, fmt):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return char_poly(m)
+
+    monkeypatch.setattr(dynamics, "char_poly", counting)
+    code, _, _ = run(capsys, "eigenray", "--family", family, "--n", "3", "--format", fmt)
+    assert code == 0 and len(calls) == 1

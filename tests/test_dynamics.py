@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from morirays import (
     DivisorClass,
+    MultiplicityProfile,
     QuadNum,
     Ray,
     ShapeMatrix,
@@ -17,6 +18,7 @@ from morirays import (
     eigen,
     iterate,
 )
+from morirays import families
 from morirays.families import (
     LINE_SEED,
     PENCIL_SEED,
@@ -244,3 +246,44 @@ def test_char_poly_annihilates(n):
     for c, v in zip(coeffs, reversed(vecs)):
         acc = [a + c * x for a, x in zip(acc, v)]
     assert all(a == 0 for a in acc)
+
+
+# -- rays on multiplicity blocks ------------------------------------------------------
+
+
+def test_ray_ignores_how_points_are_grouped_into_blocks():
+    v = QuadNum(3, 1, 2)
+    split = Ray(MultiplicityProfile(14, [(QuadNum(6, 2, 2), 1), (v, 2), (v, 3)]))
+    whole = Ray(MultiplicityProfile(28, [(QuadNum(12, 4, 2), 1), (2 * v, 5)]))
+    assert split == whole and hash(split) == hash(whole)
+    assert split.rep.blocks == ((QuadNum(6, 2, 2), 1), (v, 5))
+    assert split.s == 6 and split.irrationality_witness() == (1, QuadNum(6, 2, 2))
+    late = MultiplicityProfile(4, [(1, 3), (QuadNum(0, 1, 2), 2)])
+    assert Ray(late).irrationality_witness() == Ray(late.expand()).irrationality_witness() == (4, QuadNum(0, 1, 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+@pytest.mark.parametrize("tag", families.WONDERFUL_TAGS)
+def test_ray_of_a_profile_equals_ray_of_its_expansion(tag, n):
+    p = families.wonderful_profile(tag, n)
+    ray, expanded = Ray(p), Ray(p.expand())
+    assert ray == expanded and hash(ray) == hash(expanded)
+    assert ray.to_json() == expanded.to_json() and str(ray) == str(expanded)
+    assert ray.irrationality_witness() == expanded.irrationality_witness()
+
+
+def test_ray_json_lists_every_point():
+    top = {"a": [6, 1], "b": [2, 1], "rad": 2}
+    mid = {"a": [3, 1], "b": [1, 1], "rad": 2}
+    low = {"a": [4, 1], "b": [-1, 1], "rad": 2}
+    assert wonderful_ray("odd", 2).to_json() == {
+        "class": {"degree": 14, "mults": [top] + [mid] * 4 + [low] * 6},
+        "rational": False,
+    }
+
+
+def test_dominant_ray_and_certificate_take_a_decomposition():
+    m = odd_shape_matrix(2)
+    dec = eigen(m)
+    assert dominant_ray(dec) == dominant_ray(m)
+    assert certify_convergence(dec, PENCIL_SEED) == certify_convergence(m, PENCIL_SEED)

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from morirays import MixedRadicandError, QuadNum, RadicalSum, families, quadfield
+from morirays import DivisorClass, MixedRadicandError, QuadNum, RadicalSum, families, quadfield
+from morirays.lattice import is_line_pencil_up_to_permutation
 from morirays.quadfield import split_square
 
 F = Fraction
@@ -185,6 +186,26 @@ def test_arithmetic_does_not_refactor_the_radicand(monkeypatch):
     assert three + 0 * x == three and hash(three + 0 * x) == hash(three)
     with pytest.raises(MixedRadicandError):
         x + QuadNum(0, 1, 2)
+
+
+def test_trivial_radicands_are_not_factored(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return split_square(n)
+
+    monkeypatch.setattr(quadfield, "split_square", counting)
+    assert QuadNum(5) == QuadNum(5, 3, 0) == QuadNum(2, 3, 1) and QuadNum(F(1, 2)).a == F(1, 2)
+    x = DivisorClass(1, [1, 0, 0])
+    assert is_line_pencil_up_to_permutation(x) and x.degree.rad == 1
+    assert calls == []
+    value = RadicalSum([(3, 2), (-1, 1), (F(1, 2), 3)])
+    assert len(calls) == 2
+    assert value.sign() == 1 and RadicalSum([(1, 5), (-2, 1)]).sign() == 1
+    assert len(calls) == 3
+    with pytest.raises(ValueError):
+        QuadNum(1, 1, -1)
 
 
 def test_str():

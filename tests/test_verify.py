@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from morirays import DivisorClass, line_pencil_class, verify
+from morirays import DivisorClass, MultiplicityProfile, SpectrumError, dynamics, families, line_pencil_class, verify
+from morirays.dynamics import char_poly
 from morirays.families import pencil_profile, primed_pencil_profile
 from morirays.verify import (
     certify_pencil,
@@ -287,3 +288,40 @@ def test_sign_table_json():
     assert data["family"] == "sq2"
     assert all(row["decimal_note"] == "display only" for row in data["rows"])
     assert len(data["bounds"]) == 10
+
+
+def test_wonderful_report_never_expands_the_ray(monkeypatch):
+    def expand(self):
+        raise AssertionError(f"expanded a profile on {self.s} points")
+
+    monkeypatch.setattr(MultiplicityProfile, "expand", expand)
+    rep = wonderful_report("sq2", 10**4)
+    assert rep.valid and rep.surface_points == 10003**2 + 2
+
+
+@pytest.mark.parametrize("tag", families.WONDERFUL_TAGS)
+def test_wonderful_report_decomposes_once(monkeypatch, tag):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return char_poly(m)
+
+    monkeypatch.setattr(dynamics, "char_poly", counting)
+    assert wonderful_report(tag, 3).valid
+    assert len(calls) == 1
+
+
+def test_wonderful_report_when_the_spectrum_is_unsupported(monkeypatch):
+    def unsupported(m):
+        raise SpectrumError("complex eigenvalue pair")
+
+    monkeypatch.setattr(dynamics, "eigen", unsupported)
+    monkeypatch.setattr(verify, "eigen", unsupported)
+    rep = wonderful_report("even", 3)
+    assert [(c.name, c.statement) for c in rep.failures] == [
+        ("dominant-ray", "dominant eigenray unavailable: complex eigenvalue pair"),
+        ("convergence", "seed (1, 0, 0, 0): no simple dominant eigenvalue"),
+        ("convergence", "seed (1, 1, 0, 0): no simple dominant eigenvalue"),
+    ]
+    assert [cert for _, cert in rep.convergence] == [None, None]
