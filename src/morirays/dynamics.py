@@ -1,9 +1,12 @@
 """Orbits and spectra of shape matrices, and rays in the divisor space.
 
-Everything is exact: characteristic polynomials over Fraction, eigenvalues as
-QuadNum (at most one irreducible quadratic factor is supported), eigenvectors
-by Gaussian elimination over the quadratic field, and dominance certified by
-sign computations rather than numerics.
+Everything is exact and integer until the last step.  The characteristic
+polynomial comes from Faddeev-LeVerrier on the integer rows.  Its rational
+roots are integer divisors of its constant term; what is left is at most one
+irreducible quadratic factor, with roots (a +- b*sqrt(N))/d for integers a,
+b, d.  Eigenvectors come from fraction-free Gauss-Jordan elimination over
+Z[sqrt(N)], and only the finished kernel entries become QuadNum.  Dominance
+is certified by sign computations rather than numerics.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Sequence
 
 from .cremona import ShapeMatrix
 from .lattice import DivisorClass, MultiplicityProfile
-from .quadfield import QuadNum
+from .quadfield import QuadNum, _from_squarefree, split_square
 
 
 class SpectrumError(ValueError):
@@ -25,10 +28,10 @@ class SpectrumError(ValueError):
 # -- characteristic polynomial ---------------------------------------------------
 
 
-def char_poly(m: ShapeMatrix) -> tuple[Fraction, ...]:
-    """Coefficients of det(xI - M), highest power first (monic)."""
+def char_poly(m: ShapeMatrix) -> tuple[int, ...]:
+    """Coefficients of det(xI - M), highest power first (monic, integer)."""
     k = m.size
-    rows = [[Fraction(x) for x in r] for r in m.rows]
+    rows = m.rows
 
     def mul(A, B):
         cols = list(zip(*B))
@@ -37,27 +40,27 @@ def char_poly(m: ShapeMatrix) -> tuple[Fraction, ...]:
     def tr(A):
         return sum(A[i][i] for i in range(k))
 
-    coeffs = [Fraction(1)]
-    Mi = [r[:] for r in rows]
+    coeffs = [1]
+    Mi = [list(r) for r in rows]
     c = -tr(Mi)
     coeffs.append(c)
     for i in range(2, k + 1):
         for t in range(k):
             Mi[t][t] += c
         Mi = mul(rows, Mi)
-        c = -tr(Mi) / i
+        c = -tr(Mi) // i  # exact: i divides the trace
         coeffs.append(c)
     return tuple(coeffs)
 
 
-def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _poly_eval(coeffs: Sequence[int], x: int) -> int:
+    acc = 0
     for c in coeffs:
         acc = acc * x + c
     return acc
 
 
-def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
+def _deflate(coeffs: list[int], root: int) -> list[int]:
     # synthetic division by (x - root); remainder must vanish
     out = [coeffs[0]]
     for c in coeffs[1:]:
@@ -78,29 +81,22 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All rational roots with multiplicity, via the rational root theorem."""
-    roots: list[Fraction] = []
-    while len(coeffs) > 1:
-        while coeffs[-1] == 0:
-            roots.append(Fraction(0))
-            coeffs = coeffs[:-1]
-            if len(coeffs) == 1:
-                return roots
-        scale = 1
-        for c in coeffs:
-            scale = scale * c.denominator // gcd(scale, c.denominator)
-        ints = [int(c * scale) for c in coeffs]
-        cands = sorted(
-            {Fraction(sp * p, q) for p in _divisors(ints[-1]) for q in _divisors(ints[0]) for sp in (1, -1)},
-            key=lambda f: (f < 0, abs(f)),
-        )
-        hit = next((r for r in cands if _poly_eval(coeffs, r) == 0), None)
-        if hit is None:
-            return roots
-        while _poly_eval(coeffs, hit) == 0 and len(coeffs) > 1:
-            roots.append(hit)
-            coeffs = _deflate(coeffs, hit)
+def _rational_roots(coeffs: list[int]) -> list[int]:
+    """All rational roots of a monic integer polynomial, with multiplicity.
+
+    By the rational root theorem they are integers dividing the constant
+    term; deflating by one leaves a constant term that divides the old one,
+    so the divisors of the first nonzero constant term cover them all.
+    """
+    roots: list[int] = []
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        roots.append(0)
+        coeffs = coeffs[:-1]
+    for d in _divisors(coeffs[-1]):
+        for root in (d, -d):
+            while len(coeffs) > 1 and _poly_eval(coeffs, root) == 0:
+                roots.append(root)
+                coeffs = _deflate(coeffs, root)
     return roots
 
 
@@ -120,24 +116,51 @@ class Eigenvalue:
         }
 
 
-def _kernel(rows: list[list[QuadNum]]) -> list[tuple[QuadNum, ...]]:
-    """Basis of the kernel, exact Gaussian elimination over the field."""
+# An element x + y*sqrt(rad) of Z[sqrt(rad)] is the pair (x, y); an eigenvalue
+# (alpha + beta*sqrt(rad)) / delta is the triple (alpha, beta, delta).
+
+
+def _quad(x: int, y: int, den: int, rad: int) -> QuadNum:
+    """(x + y*sqrt(rad)) / den for a squarefree rad."""
+    return _from_squarefree(Fraction(x, den), Fraction(y, den), rad)
+
+
+_Q0, _Q1 = _quad(0, 0, 1, 1), _quad(1, 0, 1, 1)
+
+
+def _kernel(rows: list[list[tuple[int, int]]], rad: int) -> list[tuple[QuadNum, ...]]:
+    """Basis of the kernel of a matrix over Z[sqrt(rad)].
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968):
+    with pivot row R_r and pivot piv, every other row becomes
+    piv*R_i - f*R_r, divided by the gcd of its integer content.  Each row
+    stays a nonzero multiple of its row in the reduced row echelon form over
+    the field, which is unique, so the basis is the one field elimination
+    gives: entry -x/y with y the pivot, formed once as -x*conj(y)/N(y).
+    """
     n = len(rows)
     m = len(rows[0]) if rows else 0
     R = [row[:] for row in rows]
     pivots: list[int] = []
     r = 0
     for c in range(m):
-        p = next((i for i in range(r, n) if R[i][c]), None)
+        p = next((i for i in range(r, n) if R[i][c] != (0, 0)), None)
         if p is None:
             continue
         R[r], R[p] = R[p], R[r]
-        inv = R[r][c].inverse()
-        R[r] = [e * inv for e in R[r]]
+        pa, pb = R[r][c]
+        pbr = pb * rad
         for i in range(n):
-            if i != r and R[i][c]:
-                f = R[i][c]
-                R[i] = [e - f * g for e, g in zip(R[i], R[r])]
+            fa, fb = R[i][c]
+            if i == r or not (fa or fb):
+                continue
+            fbr = fb * rad
+            row = [
+                (pa * x + pbr * y - fa * u - fbr * w, pa * y + pb * x - fa * w - fb * u)
+                for (x, y), (u, w) in zip(R[i], R[r])
+            ]
+            g = gcd(*(t for e in row for t in e))
+            R[i] = [(x // g, y // g) for x, y in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == n:
@@ -145,28 +168,36 @@ def _kernel(rows: list[list[QuadNum]]) -> list[tuple[QuadNum, ...]]:
     free = [c for c in range(m) if c not in pivots]
     basis = []
     for fc in free:
-        v = [QuadNum(0)] * m
-        v[fc] = QuadNum(1)
+        v = [_Q0] * m
+        v[fc] = _Q1
         for pr, pc in enumerate(pivots):
-            v[pc] = -R[pr][fc]
+            x, y = R[pr][fc]
+            u, w = R[pr][pc]
+            v[pc] = _quad(y * w * rad - x * u, x * w - y * u, u * u - w * w * rad, rad)
         basis.append(tuple(v))
     return basis
 
 
-def _shifted(m: ShapeMatrix, lam: QuadNum, transpose: bool = False) -> list[list[QuadNum]]:
-    k = m.size
-    rows = [[QuadNum(m.rows[j][i] if transpose else m.rows[i][j]) for j in range(k)] for i in range(k)]
-    for i in range(k):
-        rows[i][i] = rows[i][i] - lam
-    return rows
+def _shifted(m: ShapeMatrix, lam: tuple[int, int, int], transpose: bool = False) -> list[list[tuple[int, int]]]:
+    """delta*(M - lambda*I), or its transpose, over Z[sqrt(rad)]."""
+    alpha, beta, delta = lam
+    rows = zip(*m.rows) if transpose else m.rows
+    return [
+        [(delta * x - alpha, -beta) if i == j else (delta * x, 0) for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
+    """Exact spectrum of a shape matrix.  `left_vector` spans the left
+    eigenvectors of the strictly dominant eigenvalue, None without one."""
+
     matrix: ShapeMatrix
-    char_poly: tuple[Fraction, ...]
+    char_poly: tuple[int, ...]
     eigenvalues: tuple[Eigenvalue, ...]
     dominant_index: int | None
+    left_vector: tuple[QuadNum, ...] | None
 
     @property
     def dominant(self) -> Eigenvalue:
@@ -194,39 +225,34 @@ class EigenDecomposition:
 def eigen(m: ShapeMatrix) -> EigenDecomposition:
     """Exact spectrum; supports any number of rational eigenvalues plus at most
     one irreducible quadratic factor (a conjugate pair a +- b*sqrt(N))."""
-    coeffs = list(char_poly(m))
-    rational = _rational_roots(coeffs[:])
-    rest = coeffs[:]
-    for r in rational:
-        rest = _deflate(rest, r)
-    values: list[QuadNum] = [QuadNum(r) for r in sorted(set(rational), reverse=True)]
-    mult = {QuadNum(r): rational.count(r) for r in set(rational)}
+    coeffs = char_poly(m)
+    rational = _rational_roots(list(coeffs))
+    rest = list(coeffs)
+    for x in rational:
+        rest = _deflate(rest, x)
+    # (alpha, beta, delta) triples with their algebraic multiplicities
+    spectrum = [((x, 0, 1), rational.count(x)) for x in sorted(set(rational), reverse=True)]
+    rad = 1
     if len(rest) - 1 > 2:
         raise SpectrumError(
             f"irrational part of the spectrum has degree {len(rest) - 1} > 2"
         )
+    # no linear factor is left: its root would be an integer, deflated above
     if len(rest) - 1 == 2:
-        a, b, c = rest
-        disc = b * b - 4 * a * c
+        _, b, c = rest
+        disc = b * b - 4 * c
         if disc < 0:
             raise SpectrumError("complex eigenvalue pair")
-        root = QuadNum.sqrt(disc)
-        assert not root.is_rational  # rational roots were already deflated
+        f, rad = split_square(disc)
+        assert rad > 1  # rational roots were already deflated
+        g = gcd(b, f, 2)
         for sign in (1, -1):
-            lam = (QuadNum(-b) + sign * root) / (2 * a)
-            values.append(lam)
-            mult[lam] = 1
-    elif len(rest) - 1 == 1:
-        lam = QuadNum(-rest[1] / rest[0])
-        values.append(lam)
-        mult[lam] = mult.get(lam, 0) + 1
+            spectrum.append(((-b // g, sign * f // g, 2 // g), 1))
 
     eigenvalues = []
-    for lam in values:
-        vecs = tuple(_kernel(_shifted(m, lam)))
-        eigenvalues.append(Eigenvalue(lam, mult[lam], len(vecs), vecs))
-    if sum(e.algebraic for e in eigenvalues) != m.size:
-        raise SpectrumError("spectrum not fully split over supported fields")
+    for lam, alg in spectrum:
+        vecs = tuple(_kernel(_shifted(m, lam), rad))
+        eigenvalues.append(Eigenvalue(_quad(*lam, rad), alg, len(vecs), vecs))
 
     dominant = None
     for i, e in enumerate(eigenvalues):
@@ -238,7 +264,10 @@ def eigen(m: ShapeMatrix) -> EigenDecomposition:
         for i, e in enumerate(eigenvalues)
         if i != dominant
     )
-    return EigenDecomposition(m, tuple(coeffs), tuple(eigenvalues), dominant if strict else None)
+    if not strict:
+        return EigenDecomposition(m, coeffs, tuple(eigenvalues), None, None)
+    (left,) = _kernel(_shifted(m, spectrum[dominant][0], transpose=True), rad)
+    return EigenDecomposition(m, coeffs, tuple(eigenvalues), dominant, left)
 
 
 # -- rays -------------------------------------------------------------------------
@@ -416,12 +445,8 @@ def certify_convergence(m: ShapeMatrix | EigenDecomposition, seed: Sequence[int]
     dec = m if isinstance(m, EigenDecomposition) else eigen(m)
     m = dec.matrix
     dom = dec.dominant
-    if dom.algebraic != 1:
-        raise SpectrumError(f"dominant eigenvalue {dom.value} is not simple")
     right = dom.vectors[0]
-    left = _kernel(_shifted(m, dom.value, transpose=True))
-    assert len(left) == 1
-    u = left[0]
+    u = dec.left_vector
     denom = _dot(u, right)
     assert denom  # u.v != 0 for a simple eigenvalue
     seed = tuple(int(x) for x in seed)

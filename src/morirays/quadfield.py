@@ -8,6 +8,7 @@ no floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import isqrt
 from typing import Iterable, Union
 
@@ -21,6 +22,12 @@ class MixedRadicandError(ValueError):
     """Operation would mix incompatible radicands."""
 
 
+# Trial divisors of split_square stop here: every radicand below 2**60 settles
+# in at most 2**19 divisions (about a tenth of a second).
+TRIAL_DIVISOR_LIMIT = 1 << 20
+_ODD_TRIAL_DIVISORS = range(3, TRIAL_DIVISOR_LIMIT + 1, 2)
+
+
 def split_square(n: int) -> tuple[int, int]:
     """Largest square factor: n = f*f*m with m squarefree; returns (f, m).
 
@@ -28,14 +35,19 @@ def split_square(n: int) -> tuple[int, int]:
     left.  That cofactor then has no prime factor below p and is less than
     p**3, so it has at most two prime factors: it is a prime square or
     squarefree, and one isqrt settles which.
+
+    Trial divisors stop at TRIAL_DIVISOR_LIMIT = 2**20, which settles every
+    n below 2**60.  A larger n whose cofactor still exceeds the cube of the
+    limit raises ValueError instead of running for minutes.
     """
     if n < 0:
         raise ValueError(f"negative radicand {n}")
     if n == 0:
         return 1, 0
     f, m, rest = 1, 1, n
-    p = 2
-    while p * p * p <= rest:
+    for p in chain((2,), _ODD_TRIAL_DIVISORS):
+        if p * p * p > rest:
+            break
         if rest % p == 0:
             e = 0
             while rest % p == 0:
@@ -43,7 +55,12 @@ def split_square(n: int) -> tuple[int, int]:
                 e += 1
             f *= p ** (e // 2)
             m *= p ** (e % 2)
-        p += 1 if p == 2 else 2
+    else:
+        if (TRIAL_DIVISOR_LIMIT + 1) ** 3 <= rest:
+            raise ValueError(
+                f"radicand {n} ({n.bit_length()} bits) has a cofactor too large to factor "
+                f"by trial division up to {TRIAL_DIVISOR_LIMIT}"
+            )
     r = isqrt(rest)
     if r * r == rest:
         return f * r, m

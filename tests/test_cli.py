@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -169,6 +170,24 @@ def test_pair_usage_errors(capsys):
     assert run(capsys, "pair", "--ray", "odd:x", "--with", "K")[0] == 2
     assert run(capsys, "pair", "--ray", "odd:0", "--with", "K")[0] == 2
     assert run(capsys, "pair", "--ray", "mystery:1", "--with", "K")[0] == 2
+
+
+def test_pair_on_a_radicand_past_the_trial_divisor_limit_fails_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pair", "--ray", "W_even:1000000000000", "--with", "F")
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err.startswith("error: radicand 48999999999999999999999972 (86 bits)") and err.count("\n") == 1
+
+
+def test_pair_on_a_huge_n_that_factors_keeps_its_output(capsys):
+    code, out, err = run(capsys, "pair", "--ray", "W_odd:1000000000000", "--with", "F")
+    assert code == 0 and err == ""
+    assert out == (
+        "odd:1000000000000 . F = -15000000000012000000000000+5000000000004000000000000√2000000000006\n"
+        "  sign: +1\n"
+        "  ~ 7071052811881738687975734744439.7957086559 (display only)\n"
+    )
 
 
 def test_out_file_and_env(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,8 @@
 """Spectra, orbits, rays, and convergence certificates for shape matrices."""
 
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +20,7 @@ from morirays import (
     eigen,
     iterate,
 )
-from morirays import families
+from morirays import dynamics, families, verify
 from morirays.families import (
     LINE_SEED,
     PENCIL_SEED,
@@ -287,3 +289,166 @@ def test_dominant_ray_and_certificate_take_a_decomposition():
     dec = eigen(m)
     assert dominant_ray(dec) == dominant_ray(m)
     assert certify_convergence(dec, PENCIL_SEED) == certify_convergence(m, PENCIL_SEED)
+
+
+# -- integer elimination against elimination over the field ---------------------------
+
+
+def _field_kernel(rows):
+    """Gauss-Jordan elimination over Q(sqrt N) with QuadNum entries, the
+    method the integer kernel replaced; kept as its oracle."""
+    n, m = len(rows), len(rows[0])
+    R = [row[:] for row in rows]
+    pivots, r = [], 0
+    for c in range(m):
+        p = next((i for i in range(r, n) if R[i][c]), None)
+        if p is None:
+            continue
+        R[r], R[p] = R[p], R[r]
+        inv = R[r][c].inverse()
+        R[r] = [e * inv for e in R[r]]
+        for i in range(n):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [e - f * g for e, g in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    basis = []
+    for fc in (c for c in range(m) if c not in pivots):
+        v = [QuadNum(0)] * m
+        v[fc] = QuadNum(1)
+        for pr, pc in enumerate(pivots):
+            v[pc] = -R[pr][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def _field_shifted(m, lam, transpose):
+    k = m.size
+    rows = [[QuadNum(m.rows[j][i] if transpose else m.rows[i][j]) for j in range(k)] for i in range(k)]
+    for i in range(k):
+        rows[i][i] = rows[i][i] - lam
+    return rows
+
+
+def _triple(lam):
+    """(alpha, beta, delta) with lam = (alpha + beta*sqrt(rad)) / delta."""
+    delta = lcm(lam.a.denominator, lam.b.denominator)
+    return int(lam.a * delta), int(lam.b * delta), delta
+
+
+def _assert_kernels_agree(m):
+    """Every eigenvalue's right and left kernels, integer against field."""
+    deltas = set()
+    for e in eigen(m).eigenvalues:
+        lam, triple = e.value, _triple(e.value)
+        deltas.add(triple[2])
+        for transpose in (False, True):
+            ours = dynamics._kernel(dynamics._shifted(m, triple, transpose), lam.rad)
+            assert ours == _field_kernel(_field_shifted(m, lam, transpose)), (m.rows, lam, transpose)
+    return deltas
+
+
+def test_integer_kernel_matches_field_elimination_on_named_cases():
+    square = ShapeMatrix([[2, 0, 0], [0, 2, 0], [1, 0, 3]], counts=(1, 1))
+    assert [(e.value, e.geometric) for e in eigen(square).eigenvalues] == [(3, 1), (2, 2)]
+    _assert_kernels_agree(square)  # rational eigenvalue of geometric multiplicity 2
+    pair = ShapeMatrix([[1, 1], [1, -1]], counts=(1,))
+    assert {e.value for e in eigen(pair).eigenvalues} == {QuadNum(0, 1, 2), QuadNum(0, -1, 2)}
+    _assert_kernels_agree(pair)  # conjugate pair +-sqrt(2), delta 1
+    half = ShapeMatrix([[2, 1], [1, 3]], counts=(1,))
+    assert eigen(half).dominant.value == QuadNum(F(5, 2), F(1, 2), 5)
+    assert _assert_kernels_agree(half) == {2}  # (5 +- sqrt(5)) / 2, delta 2
+    for n in (1, 2, 3, 10):
+        _assert_kernels_agree(odd_shape_matrix(n))
+        _assert_kernels_agree(even_shape_matrix(n))
+
+
+def test_integer_kernel_matches_field_elimination_on_random_matrices():
+    rng = random.Random(7031)
+    checked = 0
+    deltas = set()
+    for _ in range(300):
+        k = rng.randint(2, 4)
+        rows = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
+        if rng.random() < 0.3:  # repeated rational eigenvalues with a small shear
+            rows = [[rng.choice([1, 2]) if i == j else 0 for j in range(k)] for i in range(k)]
+            rows[rng.randrange(k)][rng.randrange(k)] += rng.randint(-2, 2)
+        m = ShapeMatrix(rows, counts=[1] * (k - 1))
+        try:
+            deltas |= _assert_kernels_agree(m)
+        except SpectrumError:
+            continue
+        checked += 1
+    assert checked > 100 and deltas == {1, 2}
+
+
+# -- the left eigenvector -------------------------------------------------------------
+
+
+def _shape_matrix(tag, n):
+    return families.shape_matrix(families.family(tag).parent or tag, n)
+
+
+def test_left_vector_is_computed_once_per_decomposition(monkeypatch):
+    calls = []
+    kernel = dynamics._kernel
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(dynamics, "_kernel", counting)
+    for tag in families.WONDERFUL_TAGS:
+        calls.clear()
+        eigen(_shape_matrix(tag, 3))
+        alone = len(calls)
+        calls.clear()
+        assert verify.wonderful_report(tag, 3).valid
+        assert len(calls) == alone, tag
+
+    dec = eigen(odd_shape_matrix(2))
+    calls.clear()
+    for seed in (LINE_SEED, PENCIL_SEED):
+        assert certify_convergence(dec, seed).converges
+    assert calls == []
+
+
+@pytest.mark.parametrize("tag", families.WONDERFUL_TAGS)
+def test_left_vector_annihilates_the_shifted_matrix(tag):
+    for n in range(1, 41):
+        m = _shape_matrix(tag, n)
+        dec = eigen(m)
+        u = dec.left_vector
+        if dec.dominant_index is None:
+            assert u is None
+            continue
+        lam = dec.dominant.value
+        assert any(u)
+        for j in range(m.size):
+            column = QuadNum(0)
+            for i in range(m.size):
+                column = column + u[i] * m.rows[i][j]
+            assert column == lam * u[j], (tag, n, j)
+
+
+# -- sympy as an outside reference ----------------------------------------------------
+
+
+def test_spectra_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    matrices = {_shape_matrix(tag, n) for tag in families.WONDERFUL_TAGS for n in range(1, 31)}
+    assert len(matrices) == 60
+    for m in matrices:
+        M = sympy.Matrix(m.rows)
+        assert list(char_poly(m)) == M.charpoly(x).all_coeffs()
+        ours = {
+            sympy.Rational(e.value.a.numerator, e.value.a.denominator)
+            + sympy.Rational(e.value.b.numerator, e.value.b.denominator) * sympy.sqrt(e.value.rad): e.algebraic
+            for e in eigen(m).eigenvalues
+        }
+        theirs = {sympy.expand(v): mult for v, mult in M.eigenvals().items()}
+        assert ours == theirs, m.rows

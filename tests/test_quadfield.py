@@ -120,6 +120,17 @@ def test_split_square_against_factorint():
         assert split_square(n) == (f, m), n
 
 
+def test_split_square_trial_divisor_limit():
+    limit = quadfield.TRIAL_DIVISOR_LIMIT
+    below = next(p for p in range(limit, 2, -1) if _is_prime(p))
+    above = _primes_from(limit + 1, 1)[0]
+    assert (below ** 3).bit_length() <= 60
+    assert split_square(below ** 3) == (below, below)  # the last divisor tried finds it
+    assert split_square(above ** 2) == (above, 1)  # cofactor below the cube of the divisor
+    with pytest.raises(ValueError, match="trial division"):
+        split_square(above ** 3)
+
+
 def test_sqrt():
     assert QuadNum.sqrt(8) == QuadNum(0, 2, 2)
     assert QuadNum.sqrt(F(9, 4)) == QuadNum(F(3, 2))
