@@ -32,7 +32,7 @@ from .cremona import (
     quadratic_map,
     sturm_map,
 )
-from .dynamics import SpectrumError, certify_convergence, eigen, iterate
+from .dynamics import Ray, SpectrumError, certify_convergence, eigen, iterate
 from .quadfield import MixedRadicandError
 
 
@@ -189,7 +189,7 @@ def cmd_eigenray(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     display = families.wonderful_profile(tag, args.n)
-    ray = families.wonderful_ray(tag, args.n)
+    ray = Ray(display)
     matrix = families.shape_matrix(families.family(tag).parent or tag, args.n)
     dec = eigen(matrix)
     try:
@@ -212,10 +212,9 @@ def cmd_eigenray(args) -> int:
         }
         text = _json_text(payload)
     elif args.format == "csv":
-        rows = [["degree", _exact_and_decimal(display.degree, args.digits)[0], ""]]
+        rows = [["degree", str(display.degree), ""]]
         for i, (v, count) in enumerate(display.blocks):
-            exact, dec_str = _exact_and_decimal(v, args.digits)
-            rows.append([f"block{i + 1}x{count}", exact, dec_str])
+            rows.append([f"block{i + 1}x{count}", str(v), v.decimal(args.digits)])
         text = _csv_text(["entry", "exact", "decimal (display only)"], rows)
     else:
         lines = [f"{tag} limit ray on {display.s} points", f"  display:   {display.pretty()}"]
@@ -223,15 +222,11 @@ def cmd_eigenray(args) -> int:
         lines.append(f"  rational:  {ray.is_rational}")
         for e in dec.eigenvalues:
             mark = " (dominant)" if dec.dominant_index is not None and dec.eigenvalues[dec.dominant_index] is e else ""
-            exact, dec_str = _exact_and_decimal(e.value, args.digits)
-            lines.append(f"  eigenvalue {exact} ~ {dec_str} (display only), mult {e.algebraic}{mark}")
+            lines.append(f"  eigenvalue {e.value} ~ {e.value.decimal(args.digits)} (display only), "
+                         f"mult {e.algebraic}{mark}")
         text = "\n".join(lines) + "\n"
     _deliver(text, _resolve_out(args.out))
     return 0
-
-
-def _exact_and_decimal(v, digits: int) -> tuple[str, str]:
-    return str(v), v.decimal(digits)
 
 
 # -- verify -------------------------------------------------------------------------

@@ -30,7 +30,14 @@ def _mat_vec(rows: tuple[tuple[int, ...], ...], vec: Sequence) -> tuple:
     return tuple(out)
 
 
-class CharMatrix:
+class _IntMatrix:
+    """Immutable square integer matrix, stored as a tuple of row tuples.
+
+    Subclasses say what the basis means: `_shape()` is what two matrices must
+    share to be multiplied or compared (named `_shapes_name` in the error),
+    and `_with_rows` builds a matrix of the same kind on new rows.
+    """
+
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
@@ -42,33 +49,65 @@ class CharMatrix:
         object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
-        raise AttributeError("CharMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _with_rows(self, rows):
+        return type(self)(rows)
+
+    @property
+    def size(self) -> int:
+        return len(self.rows)
+
+    def trace(self) -> int:
+        return sum(r[i] for i, r in enumerate(self.rows))
+
+    def shift(self, c: int):
+        """M + c*I, a matrix of the same kind."""
+        return self._with_rows(
+            [[x + c if i == j else x for j, x in enumerate(r)] for i, r in enumerate(self.rows)]
+        )
+
+    def __matmul__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self._shape() != other._shape():
+            raise ValueError(f"{self._shapes_name} differ: {self._shape()} vs {other._shape()}")
+        cols = tuple(zip(*other.rows))
+        return self._with_rows([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.rows == other.rows and self._shape() == other._shape()
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self._shape()))
+
+    def apply(self, vec: Sequence) -> tuple:
+        return _mat_vec(self.rows, vec)
+
+    def pretty(self) -> str:
+        width = max(len(str(x)) for r in self.rows for x in r)
+        return "\n".join(" ".join(f"{x:>{width}}" for x in r) for r in self.rows)
+
+    def __str__(self) -> str:
+        return self.pretty()
+
+
+class CharMatrix(_IntMatrix):
+    __slots__ = ()
+    _shapes_name = "sizes"
 
     @property
     def s(self) -> int:
         return len(self.rows) - 1
 
+    def _shape(self) -> int:
+        return self.s
+
     @classmethod
     def identity(cls, s: int) -> "CharMatrix":
         return cls([[1 if i == j else 0 for j in range(s + 1)] for i in range(s + 1)])
-
-    def __matmul__(self, other: "CharMatrix") -> "CharMatrix":
-        if not isinstance(other, CharMatrix):
-            return NotImplemented
-        if self.s != other.s:
-            raise ValueError(f"sizes differ: {self.s} vs {other.s}")
-        cols = tuple(zip(*other.rows))
-        return CharMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CharMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def apply(self, x: DivisorClass | Sequence) -> DivisorClass | tuple:
         """Image of a divisor class, or of a coordinate vector (d, -m_1, ..., -m_s)
@@ -118,13 +157,6 @@ class CharMatrix:
         except ValueError:
             return False
         return True
-
-    def pretty(self) -> str:
-        width = max(len(str(x)) for r in self.rows for x in r)
-        return "\n".join(" ".join(f"{x:>{width}}" for x in r) for r in self.rows)
-
-    def __str__(self) -> str:
-        return self.pretty()
 
     def __repr__(self) -> str:
         return f"CharMatrix({[list(r) for r in self.rows]!r})"
@@ -271,65 +303,30 @@ def double_jonquieres_geiser(n: int) -> CharMatrix:
 # -- shape compression ---------------------------------------------------------
 
 
-class ShapeMatrix:
+class ShapeMatrix(_IntMatrix):
     """Action of a characteristic matrix on block-constant classes.
 
     Acts on (d, v_1, ..., v_p) where v_i is the common multiplicity on the i-th
     block of `counts` consecutive points.
     """
 
-    __slots__ = ("rows", "counts")
+    __slots__ = ("counts",)
+    _shapes_name = "shapes"
 
     def __init__(self, rows: Iterable[Iterable[int]], counts: Sequence[int]):
-        rows = tuple(tuple(r) for r in rows)
+        super().__init__(rows)
         counts = tuple(int(c) for c in counts)
-        if any(len(r) != len(rows) for r in rows) or len(rows) != len(counts) + 1:
+        if len(self.rows) != len(counts) + 1:
             raise ValueError("rows must be square of size len(counts)+1")
-        if any(not isinstance(x, int) for r in rows for x in r):
-            raise TypeError("entries must be integers")
         if any(c < 1 for c in counts):
             raise ValueError(f"counts must be positive: {counts}")
-        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "counts", counts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ShapeMatrix is immutable")
+    def _shape(self) -> tuple[int, ...]:
+        return self.counts
 
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def apply(self, vec: Sequence) -> tuple:
-        return _mat_vec(self.rows, vec)
-
-    def __matmul__(self, other: "ShapeMatrix") -> "ShapeMatrix":
-        if not isinstance(other, ShapeMatrix):
-            return NotImplemented
-        if self.counts != other.counts:
-            raise ValueError(f"shapes differ: {self.counts} vs {other.counts}")
-        cols = tuple(zip(*other.rows))
-        return ShapeMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows],
-            self.counts,
-        )
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.size))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ShapeMatrix):
-            return NotImplemented
-        return self.rows == other.rows and self.counts == other.counts
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.counts))
-
-    def pretty(self) -> str:
-        width = max(len(str(x)) for r in self.rows for x in r)
-        return "\n".join(" ".join(f"{x:>{width}}" for x in r) for r in self.rows)
-
-    def __str__(self) -> str:
-        return self.pretty()
+    def _with_rows(self, rows) -> "ShapeMatrix":
+        return ShapeMatrix(rows, self.counts)
 
     def __repr__(self) -> str:
         return f"ShapeMatrix({[list(r) for r in self.rows]!r}, {self.counts!r})"
@@ -348,30 +345,24 @@ def shape_action(m: CharMatrix, counts: Sequence[int]) -> ShapeMatrix:
     counts = tuple(int(c) for c in counts)
     if sum(counts) != m.s:
         raise ShapeError(f"counts {counts} sum to {sum(counts)}, matrix acts on s={m.s}")
-    p = len(counts)
+    # H, then multiplicity 1 on each block, as coordinates (d, -m_1, ..., -m_s)
+    basis = [(1,) + (0,) * m.s]
+    pos = 1
+    for c in counts:
+        basis.append((0,) * pos + (-1,) * c + (0,) * (m.s + 1 - pos - c))
+        pos += c
     cols = []
-    for b in range(p + 1):
-        if b == 0:
-            x = DivisorClass(1, [0] * m.s)
-        else:
-            lo = sum(counts[: b - 1])
-            mults = [0] * m.s
-            for i in range(lo, lo + counts[b - 1]):
-                mults[i] = 1
-            x = DivisorClass(0, mults)
+    for b, x in enumerate(basis):
         img = m.apply(x)
-        col = [img.degree]
-        pos = 0
+        col = [img[0]]
+        pos = 1
         for c in counts:
-            window = img.mults[pos : pos + c]
-            if any(v != window[0] for v in window[1:]):
+            if img[pos : pos + c].count(img[pos]) != c:
                 raise ShapeError(f"image of block basis vector {b} breaks shape {counts}")
-            col.append(window[0])
+            col.append(-img[pos])
             pos += c
-        fracs = [v.to_fraction() for v in col]
-        assert all(f.denominator == 1 for f in fracs)  # integer matrix, integer basis
-        cols.append([f.numerator for f in fracs])
-    return ShapeMatrix([[cols[j][i] for j in range(p + 1)] for i in range(p + 1)], counts)
+        cols.append(col)
+    return ShapeMatrix(zip(*cols), counts)
 
 
 # -- degree reduction ------------------------------------------------------------

@@ -30,26 +30,11 @@ class SpectrumError(ValueError):
 
 def char_poly(m: ShapeMatrix) -> tuple[int, ...]:
     """Coefficients of det(xI - M), highest power first (monic, integer)."""
-    k = m.size
-    rows = m.rows
-
-    def mul(A, B):
-        cols = list(zip(*B))
-        return [[sum(a * b for a, b in zip(r, c)) for c in cols] for r in A]
-
-    def tr(A):
-        return sum(A[i][i] for i in range(k))
-
-    coeffs = [1]
-    Mi = [list(r) for r in rows]
-    c = -tr(Mi)
-    coeffs.append(c)
-    for i in range(2, k + 1):
-        for t in range(k):
-            Mi[t][t] += c
-        Mi = mul(rows, Mi)
-        c = -tr(Mi) // i  # exact: i divides the trace
-        coeffs.append(c)
+    coeffs = [1, -m.trace()]
+    power = m
+    for i in range(2, m.size + 1):
+        power = m @ power.shift(coeffs[-1])
+        coeffs.append(-power.trace() // i)  # exact: i divides the trace
     return tuple(coeffs)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import isqrt
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 
@@ -271,16 +271,7 @@ class QuadNum:
 
     def decimal(self, digits: int = 6) -> str:
         """Decimal rendering, display only; exact digits via integer sqrt."""
-        guard = digits + 6
-        while True:
-            scale = 10 ** guard
-            lo = isqrt(self.rad * scale * scale)
-            # sqrt(rad) in [lo, lo+1]/scale
-            ends = [self.a + self.b * Fraction(r, scale) for r in (lo, lo + 1)]
-            out = {_round_str(v, digits) for v in ends}
-            if len(out) == 1:
-                return out.pop()
-            guard *= 2  # rounding boundary: tighten the bracket
+        return _decimal(((self.a, 1), (self.b, self.rad)), digits)
 
     def to_json(self) -> dict:
         return {
@@ -305,6 +296,32 @@ def _from_squarefree(a: Fraction, b: Fraction, rad: int) -> QuadNum:
     object.__setattr__(q, "b", b)
     object.__setattr__(q, "rad", rad if b else 1)
     return q
+
+
+def _decimal(terms: Sequence[tuple[Fraction, int]], digits: int) -> str:
+    """Decimal rendering of the sum of c*sqrt(r) over (c, r) pairs with
+    squarefree r, display only.  A term with r == 1 is exact; every other
+    sqrt(r) is irrational and is bracketed by integer sqrt, and the bracket
+    tightens until both ends round alike.  A rational sum is a single point,
+    so it rounds once even when it sits exactly on a rounding half."""
+    guard = digits + 6
+    while True:
+        scale = 10 ** guard
+        lo = hi = Fraction(0)
+        for c, r in terms:
+            if r == 1:
+                lo += c
+                hi += c
+                continue
+            root = isqrt(r * scale * scale)
+            # sqrt(r) in [root, root+1]/scale
+            ends = (c * Fraction(root, scale), c * Fraction(root + 1, scale))
+            lo += min(ends)
+            hi += max(ends)
+        out = {_round_str(v, digits) for v in (lo, hi)}
+        if len(out) == 1:
+            return out.pop()
+        guard *= 2  # rounding boundary: tighten the bracket
 
 
 def _round_str(v: Fraction, digits: int) -> str:
@@ -412,19 +429,7 @@ class RadicalSum:
 
     def decimal(self, digits: int = 6) -> str:
         """Decimal rendering, display only."""
-        guard = digits + 6
-        while True:
-            scale = 10 ** guard
-            lo = hi = Fraction(0)
-            for r, c in self.terms:
-                root_lo = isqrt(r * scale * scale)
-                vals = [c * Fraction(t, scale) for t in (root_lo, root_lo + 1)]
-                lo += min(vals)
-                hi += max(vals)
-            out = {_round_str(v, digits) for v in (lo, hi)}
-            if len(out) == 1:
-                return out.pop()
-            guard *= 2
+        return _decimal([(c, r) for r, c in self.terms], digits)
 
     def to_json(self) -> dict:
         return {"terms": [[c.numerator, c.denominator, r] for r, c in self.terms]}

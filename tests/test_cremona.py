@@ -231,6 +231,54 @@ def test_char_matrix_json_round_trip():
     assert ShapeMatrix.from_json(a.to_json()) == a
 
 
+SHAPE_ACTION_CASES = (
+    [("Q", lambda: quadratic_map((1, 2, 3), 3)), ("S", lambda: sturm_map(range(1, 7), 6)),
+     ("G", lambda: geiser_map(range(1, 8), 7)), ("B", lambda: bertini_map(range(1, 9), 8))]
+    + [(f"J{n}", lambda n=n: jonquieres_map(n, range(1, 2 * n + 2), 2 * n + 1)) for n in range(1, 4)]
+    + [(f"C{n}", lambda n=n: double_jonquieres_map(n, range(1, 2 * n + 3), 2 * n + 2)) for n in range(1, 4)]
+    + [(f"JS{n}", lambda n=n: jonquieres_sturm(n)) for n in range(1, 6)]
+    + [(f"CG{n}", lambda n=n: double_jonquieres_geiser(n)) for n in range(1, 6)]
+)
+
+
+@pytest.mark.parametrize("name,build", SHAPE_ACTION_CASES, ids=[c[0] for c in SHAPE_ACTION_CASES])
+def test_shape_action_on_single_points_is_the_multiplicity_basis_matrix(name, build):
+    # with one point per block the shape action is D*M*D, D = diag(1, -1, ..., -1):
+    # it acts on (d, m_1, ..., m_s) instead of (d, -m_1, ..., -m_s)
+    m = build()
+    sign = [1] + [-1] * m.s
+    dmd = [[sign[i] * sign[j] * x for j, x in enumerate(row)] for i, row in enumerate(m.rows)]
+    assert shape_action(m, (1,) * m.s) == ShapeMatrix(dmd, (1,) * m.s)
+
+
+def test_char_and_shape_matrices_never_mix():
+    c = CharMatrix(Q_ROWS)
+    a = ShapeMatrix(Q_ROWS, (1, 1, 1))
+    assert c != a and a != c
+    assert c.rows == a.rows and c.trace() == a.trace() and str(c) == str(a)
+    with pytest.raises(TypeError):
+        c @ a
+    with pytest.raises(TypeError):
+        a @ c
+
+
+def test_matrix_products_need_matching_sizes_or_shapes():
+    with pytest.raises(ValueError, match="sizes differ: 3 vs 4"):
+        quadratic_map((1, 2, 3), 3) @ quadratic_map((1, 2, 3), 4)
+    rows = [r[:3] for r in Q_ROWS[:3]]
+    with pytest.raises(ValueError, match=r"shapes differ: \(1, 2\) vs \(2, 1\)"):
+        ShapeMatrix(rows, (1, 2)) @ ShapeMatrix(rows, (2, 1))
+    assert ShapeMatrix(rows, (1, 2)) != ShapeMatrix(rows, (2, 1))
+
+
+def test_matrices_are_immutable():
+    for m, name in ((CharMatrix(Q_ROWS), "CharMatrix"), (ShapeMatrix(Q_ROWS, (1, 1, 1)), "ShapeMatrix")):
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            m.rows = ((1,),)
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            m.extra = 1
+
+
 perms = st.permutations(list(range(1, 7)))
 
 

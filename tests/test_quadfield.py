@@ -269,6 +269,14 @@ def test_radical_sum_decimal():
     assert RadicalSum([]).decimal(3) == "0.000"
 
 
+def test_rational_radical_sum_on_a_negative_rounding_half_rounds_once():
+    # the rational part is exact, so a value sitting on a rounding half settles
+    assert RadicalSum([(Fraction(-1, 2), 1)]).decimal(0) == "0"
+    assert RadicalSum([(Fraction(-5, 4), 1)]).decimal(1) == "-1.2"
+    assert QuadNum(Fraction(-1, 2)).decimal(0) == "0"
+    assert QuadNum(Fraction(-5, 4)).decimal(1) == "-1.2"
+
+
 small_fracs = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 rads = st.sampled_from([2, 3, 5, 6, 7, 10, 21])
 
