@@ -16,9 +16,9 @@ import argparse
 import csv
 import functools
 import io
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import families, verify
 from .cremona import (
@@ -69,7 +69,67 @@ def _deliver(text: str, out: str | None) -> None:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The text of `json.dumps(obj, sort_keys=True, indent=2)` plus a newline.
+
+    A list entry that is the same object as the entry before it repeats that
+    entry's text, so a class expanded from blocks renders each block once.
+    Floats and non-str keys raise TypeError: no output holds them."""
+    parts: list[str] = []
+    _write_json(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+_NO_ENTRY = object()  # stands before the first entry of a list
+
+
+def _write_json(obj, nl: str, parts: list[str]) -> None:
+    """Append the text of obj to parts; nl is a newline and the indent of obj."""
+    if isinstance(obj, str):
+        parts.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):  # a key that is not a str raises TypeError here or below
+            parts.append(sep)
+            parts.append(encode_basestring_ascii(key))
+            parts.append(": ")
+            _write_json(obj[key], inner, parts)
+            sep = "," + inner
+        parts.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        prev, text, start = _NO_ENTRY, None, 0
+        for item in obj:
+            if item is prev:
+                if text is None:
+                    text = "".join(parts[start:])
+                parts.append(sep)
+                parts.append(text)
+            else:
+                parts.append(sep)
+                start = len(parts)
+                _write_json(item, inner, parts)
+                prev, text = item, None
+            sep = "," + inner
+        parts.append(nl + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:

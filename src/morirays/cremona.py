@@ -396,6 +396,29 @@ class ReductionResult:
         }
 
 
+def _top_three(mults: list[int]) -> list[int]:
+    """Indices of the three largest entries, ties toward lower indices, in
+    increasing order: one pass, no sort of the whole list."""
+    a, b, c = 0, 1, 2
+    ma, mb, mc = mults[0], mults[1], mults[2]
+    if mb > ma:
+        a, b, ma, mb = b, a, mb, ma
+    if mc > mb:
+        b, c, mb, mc = c, b, mc, mb
+        if mb > ma:
+            a, b, ma, mb = b, a, mb, ma
+    for i in range(3, len(mults)):
+        m = mults[i]
+        if m > mc:  # strict: an earlier index keeps a tie
+            if m <= mb:
+                c, mc = i, m
+            elif m <= ma:
+                b, c, mb, mc = i, b, m, mb
+            else:
+                a, b, c, ma, mb, mc = i, a, b, m, ma, mb
+    return sorted((a, b, c))
+
+
 def cremona_reduce(x: DivisorClass, max_steps: int = 100000) -> ReductionResult:
     """Apply quadratic maps at the three largest multiplicities until the degree
     is at least their sum (ties broken toward lower indices).
@@ -411,8 +434,7 @@ def cremona_reduce(x: DivisorClass, max_steps: int = 100000) -> ReductionResult:
     if x.s < 3:
         return ReductionResult(x, x, (), True)
     for _ in range(max_steps):
-        top = sorted(range(x.s), key=lambda i: (-mults[i], i))[:3]
-        i, j, k = sorted(top)
+        i, j, k = _top_three(mults)
         if d >= mults[i] + mults[j] + mults[k]:
             reduced = DivisorClass(d, mults)
             return ReductionResult(x, reduced, tuple(steps), True)

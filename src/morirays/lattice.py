@@ -108,11 +108,10 @@ class DivisorClass:
     def defernex_value(self) -> RadicalSum:
         """Pairing with F_s = sqrt(s-1)H - sum E_i, as an exact radical sum."""
         d = self.degree
-        terms = [(d.a, self.s - 1), (d.b, d.rad * (self.s - 1))]
+        blocks = []
         for m in self.mults:
-            terms.append((-m.a, 1))
-            terms.append((-m.b, m.rad))
-        return RadicalSum(terms)
+            blocks += ((1, -m.a), (m.rad, -m.b))
+        return RadicalSum([(d.a, self.s - 1), (d.b, d.rad * (self.s - 1))]) + RadicalSum._squarefree(blocks)
 
     def defernex_sign(self) -> int:
         return self.defernex_value().sign()
@@ -200,10 +199,15 @@ class DivisorClass:
         return f"DivisorClass({self.degree!r}, {list(self.mults)!r})"
 
     def to_json(self) -> dict:
-        return {
-            "degree": _coord_json(self.degree),
-            "mults": [_coord_json(m) for m in self.mults],
-        }
+        """One JSON object per run of the same coordinate object, so an
+        expanded profile shares one object per block."""
+        mults = []
+        prev = data = None
+        for m in self.mults:
+            if m is not prev:
+                prev, data = m, _coord_json(m)
+            mults.append(data)
+        return {"degree": _coord_json(self.degree), "mults": mults}
 
     @classmethod
     def from_json(cls, data: dict) -> "DivisorClass":
@@ -355,11 +359,10 @@ class MultiplicityProfile:
 
     def defernex_value(self) -> RadicalSum:
         d = self.degree
-        terms = [(d.a, self.s - 1), (d.b, d.rad * (self.s - 1))]
+        blocks = []
         for v, c in self.blocks:
-            terms.append((-c * v.a, 1))
-            terms.append((-c * v.b, v.rad))
-        return RadicalSum(terms)
+            blocks += ((1, -c * v.a), (v.rad, -c * v.b))
+        return RadicalSum([(d.a, self.s - 1), (d.b, d.rad * (self.s - 1))]) + RadicalSum._squarefree(blocks)
 
     def defernex_sign(self) -> int:
         return self.defernex_value().sign()

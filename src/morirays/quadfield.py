@@ -345,29 +345,48 @@ class RadicalSum:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[tuple[RationalLike, int]] = ()):
-        acc: dict[int, Fraction] = {}
+        """Sum of coef*sqrt(rad) over (coef, rad) pairs; each radicand with a
+        nonzero coefficient is factored by the QuadNum constructor."""
+        pairs: list[tuple[int, Fraction]] = []
         for coef, rad in terms:
-            q = QuadNum(0, _frac(coef), rad) if rad != 1 else QuadNum(_frac(coef))
-            for r, c in ((1, q.a), (q.rad, q.b)):
-                if c:
-                    acc[r] = acc.get(r, Fraction(0)) + c
-        object.__setattr__(self, "terms", tuple(sorted((r, c) for r, c in acc.items() if c != 0)))
+            coef = _frac(coef)
+            if coef:
+                q = QuadNum(0, coef, rad)
+                pairs += ((1, q.a), (q.rad, q.b))
+            elif not isinstance(rad, int) or rad < 0:
+                raise ValueError(f"bad radicand {rad!r}")
+        object.__setattr__(self, "terms", RadicalSum._squarefree(pairs).terms)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RadicalSum is immutable")
 
     @classmethod
+    def _squarefree(cls, pairs: Iterable[tuple[int, Fraction]]) -> "RadicalSum":
+        """Sum of c*sqrt(r) over (r, c) pairs whose radicands are already
+        squarefree (1 for a rational term): like terms merge, nothing is
+        factored."""
+        acc: dict[int, Fraction] = {}
+        for r, c in pairs:
+            if c:
+                acc[r] = acc.get(r, _ZERO) + c
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", tuple(sorted((r, c) for r, c in acc.items() if c)))
+        return out
+
+    @classmethod
     def from_quad(cls, q: QuadNum) -> "RadicalSum":
-        return cls([(q.a, 1), (q.b, q.rad)])
+        return cls._squarefree(((1, q.a), (q.rad, q.b)))
 
     def __add__(self, other: "RadicalSum | QuadNum | int | Fraction") -> "RadicalSum":
-        if isinstance(other, QuadNum):
-            other = RadicalSum.from_quad(other)
+        if isinstance(other, RadicalSum):
+            pairs = other.terms
+        elif isinstance(other, QuadNum):
+            pairs = ((1, other.a), (other.rad, other.b))
         elif isinstance(other, (int, Fraction)):
-            other = RadicalSum([(other, 1)])
-        elif not isinstance(other, RadicalSum):
+            pairs = ((1, Fraction(other)),)
+        else:
             return NotImplemented
-        return RadicalSum([(c, r) for r, c in self.terms] + [(c, r) for r, c in other.terms])
+        return RadicalSum._squarefree(chain(self.terms, pairs))
 
     __radd__ = __add__
 
@@ -379,7 +398,7 @@ class RadicalSum:
     def __mul__(self, scalar: RationalLike) -> "RadicalSum":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return RadicalSum([(c * scalar, r) for r, c in self.terms])
+        return RadicalSum._squarefree((r, c * scalar) for r, c in self.terms)
 
     __rmul__ = __mul__
 
@@ -417,7 +436,7 @@ class RadicalSum:
             return "0"
         parts = []
         for r, c in self.terms:
-            piece = str(QuadNum(c) if r == 1 else QuadNum(0, c, r))
+            piece = str(c) if r == 1 else str(_from_squarefree(_ZERO, c, r))
             if parts and not piece.startswith("-"):
                 parts.append("+" + piece)
             else:

@@ -288,3 +288,35 @@ def test_permutation_matrices_valid(order):
     assert m.is_valid()
     x = DivisorClass(7, [6, 5, 4, 3, 2, 1])
     assert m.apply(x) == x.permuted(order)
+
+
+def _reduce_by_sorting(x: DivisorClass) -> tuple:
+    """The reduction steps with the three largest picked by a full sort."""
+    d, mults, steps = int(x.degree.to_fraction()), [int(m.to_fraction()) for m in x.mults], []
+    while True:
+        i, j, k = sorted(sorted(range(x.s), key=lambda i: (-mults[i], i))[:3])
+        if d >= mults[i] + mults[j] + mults[k] or d <= 0:
+            return d, tuple(mults), tuple(steps)
+        a, b, c = mults[i], mults[j], mults[k]
+        d, mults[i], mults[j], mults[k] = 2 * d - a - b - c, d - b - c, d - a - c, d - a - b
+        steps.append((i + 1, j + 1, k + 1))
+
+
+def test_top_three_scan_picks_what_a_full_sort_picks():
+    from morirays.cremona import _top_three
+
+    rng = random.Random(2024)
+    for _ in range(3000):
+        s = rng.choice((3, 4, 5, 8, 13, 50))
+        m = [rng.randint(-2, 3) for _ in range(s)]  # few values: many ties
+        assert _top_three(m) == sorted(sorted(range(s), key=lambda i: (-m[i], i))[:3])
+
+
+def test_reduction_steps_match_the_sorting_reducer_on_tied_classes():
+    rng = random.Random(7)
+    for _ in range(300):
+        s = rng.randint(3, 12)
+        x = DivisorClass(rng.randint(1, 30), [rng.choice((0, 1, 2, 2, 3, 3, 5)) for _ in range(s)])
+        r = cremona_reduce(x)
+        d, mults, steps = _reduce_by_sorting(x)
+        assert r.steps == steps and r.reduced == DivisorClass(d, mults)

@@ -344,3 +344,27 @@ def test_abs_and_json(q):
 def test_sqrt_squares_back(q):
     assert QuadNum.sqrt(q) ** 2 == QuadNum(q)
     assert QuadNum.sqrt(q).sign() >= 0
+
+
+def test_radical_sums_factor_only_the_degree_radicands(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return split_square(n)
+
+    profiles = [families.wonderful_profile(tag, n) for tag, n in (("even", 1000), ("sq2", 100), ("odd", 10**4))]
+    ray = families.wonderful_profile("sq2", 3)
+    expanded = ray.expand()
+    monkeypatch.setattr(quadfield, "split_square", counting)
+    for p in profiles:
+        value = p.defernex_value()
+        assert calls[-1] == p.s - 1 and value.sign() in (-1, 1)
+        str(value), value.to_json(), value.decimal(5)
+        q = p.blocks[-1][0]
+        assert q.rad != 1
+        total = (value + value - value) * 3 + q + F(1, 3) - 2
+        assert total == value * 3 + RadicalSum.from_quad(q - F(5, 3))
+    assert len(calls) == len(profiles)
+    assert expanded.defernex_value() == ray.defernex_value()
+    assert len(calls) == len(profiles) + 2
