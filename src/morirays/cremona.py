@@ -10,6 +10,8 @@ first.  Base points are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 from .lattice import DivisorClass, ShapeError, is_line_pencil_up_to_permutation
@@ -142,7 +144,7 @@ class CharMatrix(_IntMatrix):
             if sum(self.rows[i][j] * k[j] for j in range(n)) != k[i]:
                 raise ValueError(f"canonical vector moved at row {i}")
         net = self.homaloidal_net()
-        d = net.degree.to_fraction()
+        d = net.degree.to_int()
         if d < 1:
             raise ValueError(f"homaloidal degree {d} < 1")
         if net.self_intersection() != 1 or net.canonical_pairing() != -3:
@@ -375,7 +377,7 @@ class ReductionResult:
     steps: tuple[tuple[int, int, int], ...]
     is_reduced: bool
 
-    @property
+    @cached_property
     def is_line_pencil(self) -> bool:
         return is_line_pencil_up_to_permutation(self.reduced)
 
@@ -398,7 +400,8 @@ class ReductionResult:
 
 def _top_three(mults: list[int]) -> list[int]:
     """Indices of the three largest entries, ties toward lower indices, in
-    increasing order: one pass, no sort of the whole list."""
+    increasing order: one pass, no sort of the whole list.  The reference
+    for the heap selection of `cremona_reduce`."""
     a, b, c = 0, 1, 2
     ma, mb, mc = mults[0], mults[1], mults[2]
     if mb > ma:
@@ -428,13 +431,19 @@ def cremona_reduce(x: DivisorClass, max_steps: int = 100000) -> ReductionResult:
     """
     if not x.is_integral:
         raise ValueError("reduction needs integer degree and multiplicities")
-    d = int(x.degree.to_fraction())
-    mults = [int(m.to_fraction()) for m in x.mults]
+    d = x.degree.to_int()
+    mults = [m.to_int() for m in x.mults]
     steps: list[tuple[int, int, int]] = []
     if x.s < 3:
         return ReductionResult(x, x, (), True)
+    # One key -m*s + i per point (the pair (-m, i) as one int) pops largest
+    # first, ties toward the lower index.  A step changes only the three
+    # points it pops, so pushing their new keys keeps one current key each.
+    s = x.s
+    heap = [i - m * s for i, m in enumerate(mults)]
+    heapify(heap)
     for _ in range(max_steps):
-        i, j, k = _top_three(mults)
+        i, j, k = sorted((heappop(heap) % s, heappop(heap) % s, heappop(heap) % s))
         if d >= mults[i] + mults[j] + mults[k]:
             reduced = DivisorClass(d, mults)
             return ReductionResult(x, reduced, tuple(steps), True)
@@ -442,5 +451,7 @@ def cremona_reduce(x: DivisorClass, max_steps: int = 100000) -> ReductionResult:
             return ReductionResult(x, DivisorClass(d, mults), tuple(steps), False)
         a, b, c = mults[i], mults[j], mults[k]
         d, mults[i], mults[j], mults[k] = 2 * d - a - b - c, d - b - c, d - a - c, d - a - b
+        for p in (i, j, k):
+            heappush(heap, p - mults[p] * s)
         steps.append((i + 1, j + 1, k + 1))
     raise RuntimeError(f"reduction did not settle within {max_steps} steps")

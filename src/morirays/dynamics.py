@@ -12,13 +12,12 @@ is certified by sign computations rather than numerics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
 from .cremona import ShapeMatrix
 from .lattice import DivisorClass, MultiplicityProfile
-from .quadfield import QuadNum, _from_squarefree, split_square
+from .quadfield import QuadNum, _build, split_square
 
 
 class SpectrumError(ValueError):
@@ -105,12 +104,7 @@ class Eigenvalue:
 # (alpha + beta*sqrt(rad)) / delta is the triple (alpha, beta, delta).
 
 
-def _quad(x: int, y: int, den: int, rad: int) -> QuadNum:
-    """(x + y*sqrt(rad)) / den for a squarefree rad."""
-    return _from_squarefree(Fraction(x, den), Fraction(y, den), rad)
-
-
-_Q0, _Q1 = _quad(0, 0, 1, 1), _quad(1, 0, 1, 1)
+_Q0, _Q1 = _build(0, 0, 1, 1), _build(1, 0, 1, 1)
 
 
 def _kernel(rows: list[list[tuple[int, int]]], rad: int) -> list[tuple[QuadNum, ...]]:
@@ -158,7 +152,7 @@ def _kernel(rows: list[list[tuple[int, int]]], rad: int) -> list[tuple[QuadNum, 
         for pr, pc in enumerate(pivots):
             x, y = R[pr][fc]
             u, w = R[pr][pc]
-            v[pc] = _quad(y * w * rad - x * u, x * w - y * u, u * u - w * w * rad, rad)
+            v[pc] = _build(y * w * rad - x * u, x * w - y * u, u * u - w * w * rad, rad)
         basis.append(tuple(v))
     return basis
 
@@ -237,7 +231,7 @@ def eigen(m: ShapeMatrix) -> EigenDecomposition:
     eigenvalues = []
     for lam, alg in spectrum:
         vecs = tuple(_kernel(_shifted(m, lam), rad))
-        eigenvalues.append(Eigenvalue(_quad(*lam, rad), alg, len(vecs), vecs))
+        eigenvalues.append(Eigenvalue(_build(*lam, rad), alg, len(vecs), vecs))
 
     dominant = None
     for i, e in enumerate(eigenvalues):
@@ -262,8 +256,11 @@ class Ray:
     """Half-line of divisor classes, stored canonically on multiplicity blocks.
 
     Canonical form: divide by the absolute value of the first nonzero
-    coordinate, clear rational denominators and integer content over the
-    degree and the block values, then merge adjacent equal blocks.  Two rays
+    coordinate, clear rational denominators over the degree and the block
+    values, then merge adjacent equal blocks.  The integer content is then
+    already 1: for each prime p of the common denominator, some coordinate
+    (a + b*sqrt(rad))/den has the full power of p in den, and gcd(a, b, den)
+    = 1 leaves p out of a or b.  Two rays
     are equal iff their canonical forms coincide, regardless of the (possibly
     irrational) positive scalar between representatives or of how the points
     were grouped into blocks.  Only `to_json` lists every point.
@@ -277,10 +274,8 @@ class Ray:
         if lead is None:
             raise ValueError("zero class spans no ray")
         p = p.scale(abs(lead).inverse())
-        parts = [f for c in (p.degree,) + p.values for f in (c.a, c.b)]
-        denom = lcm(*(f.denominator for f in parts))
-        content = gcd(*((f * denom).numerator for f in parts))
-        object.__setattr__(self, "rep", p.scale(Fraction(denom, content)).canonical())
+        denom = lcm(*(c.ints[2] for c in (p.degree,) + p.values))
+        object.__setattr__(self, "rep", p.scale(denom).canonical())
 
     def __setattr__(self, name, value):
         raise AttributeError("Ray is immutable")

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .quadfield import QuadNum, RadicalSum
+from .quadfield import QuadNum, RadicalSum, _build
 
 Coord = "int | Fraction | QuadNum"
 
@@ -25,7 +25,7 @@ def _quad(x) -> QuadNum:
     if isinstance(x, QuadNum):
         return x
     if isinstance(x, (int, Fraction)):
-        return QuadNum(x)
+        return _build(x.numerator, 0, x.denominator, 1)
     raise TypeError(f"expected coordinate, got {type(x).__name__}")
 
 
@@ -42,10 +42,10 @@ def _block_str(value: QuadNum, count: int) -> str:
 
 
 def _coord_json(q: QuadNum):
-    if q.is_rational:
-        f = q.to_fraction()
-        return f.numerator if f.denominator == 1 else [f.numerator, f.denominator]
-    return q.to_json()
+    a, b, den = q.ints
+    if b:
+        return q.to_json()
+    return a if den == 1 else [a, den]
 
 
 def _coord_from_json(data) -> QuadNum:
@@ -81,9 +81,7 @@ class DivisorClass:
 
     @property
     def is_integral(self) -> bool:
-        return all(
-            c.is_rational and c.to_fraction().denominator == 1 for c in self.coordinates()
-        )
+        return all(c.is_integer for c in self.coordinates())
 
     # -- intersection theory ------------------------------------------------
 
@@ -443,8 +441,8 @@ def nagata_class(s: int) -> DivisorClass:
 
 def is_line_pencil_up_to_permutation(x: DivisorClass) -> bool:
     """True when x = L_1(1, 0^(s-1)) after some reordering of the points."""
-    if x.degree != QuadNum(1):
+    if x.degree != 1:
         return False
-    ones = sum(1 for m in x.mults if m == QuadNum(1))
-    zeros = sum(1 for m in x.mults if m == QuadNum(0))
+    ones = sum(1 for m in x.mults if m == 1)
+    zeros = sum(1 for m in x.mults if m == 0)
     return ones == 1 and zeros == x.s - 1

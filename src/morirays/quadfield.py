@@ -1,18 +1,19 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(N)).
 
-Numbers are a + b*sqrt(rad) with rational a, b and squarefree rad.  All
-predicates (sign, comparisons, equality) are decided by integer arithmetic;
-no floating point is used anywhere.
+A QuadNum is (a + b*sqrt(rad))/den stored as four ints over a squarefree
+rad, in the manner of Sage's NumberFieldElement_quadratic: arithmetic,
+sign, comparisons and equality work on those ints and build no Fraction.
+`.a` and `.b` read the rational parts as Fractions.  RadicalSum, a sum of
+rational multiples of square roots of several radicands, keeps Fraction
+coefficients.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable, Sequence, Union
-
-Rational = Fraction
 
 RationalLike = Union[int, Fraction]
 QuadLike = Union[int, Fraction, "QuadNum"]
@@ -73,33 +74,61 @@ def _frac(x: RationalLike) -> Fraction:
     raise TypeError(f"expected rational, got {type(x).__name__}")
 
 
-class QuadNum:
-    """Element a + b*sqrt(rad) of a real quadratic field.
+def _ratio(x: object) -> tuple[int, int] | None:
+    """(numerator, denominator) of an int or a Fraction, None otherwise."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
+    return None
 
-    Canonical form: rad squarefree >= 2 with b != 0, or rad == 1 with b == 0.
-    The constructor normalizes any (a, b, rad) with rad >= 0 into this form;
-    it is the only place a radicand is factored, and it passes the trivial
-    radicands 0 and 1 through without factoring.  Arithmetic results are
-    built by `_from_squarefree` on the operands' radicand, which is already
-    squarefree.
+
+def _ratio_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
+def _sign(a: int, b: int, rad: int) -> int:
+    """Sign of a + b*sqrt(rad), rad squarefree (or b == 0)."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if (a > 0) == (b > 0):
+        return 1 if a > 0 else -1
+    # opposite signs: |a| vs |b|*sqrt(rad), squared comparison is exact
+    t = a * a - b * b * rad
+    assert t != 0  # a^2 = b^2*rad would make sqrt(rad) rational
+    return (1 if t > 0 else -1) if a > 0 else (-1 if t > 0 else 1)
+
+
+class QuadNum:
+    """Element (a + b*sqrt(rad))/den of a real quadratic field, stored as the
+    four ints `_a`, `_b`, `_den` and `rad`.
+
+    Canonical form: den > 0 and gcd(a, b, den) == 1; rad squarefree >= 2
+    with b != 0, or rad == 1 with b == 0.  The public constructor takes
+    rational a, b and any rad >= 0 and normalizes into this form; it is the
+    only place a radicand is factored, and it passes the trivial radicands 0
+    and 1 through without factoring.  Every other result comes from `_build`
+    on the operands' radicand, which is already squarefree, so building only
+    divides out the content.  `.a` and `.b` read the rational parts as
+    Fractions.
     """
 
-    __slots__ = ("a", "b", "rad")
+    __slots__ = ("_a", "_b", "_den", "rad")
 
-    def __init__(self, a: RationalLike = 0, b: RationalLike = 0, rad: int = 1):
-        a = _frac(a)
-        b = _frac(b)
+    def __new__(cls, a: RationalLike = 0, b: RationalLike = 0, rad: int = 1) -> "QuadNum":
+        pa, pb = _ratio(a), _ratio(b)
+        if pa is None or pb is None:
+            raise TypeError(f"expected rational, got {type(b if pa else a).__name__}")
         if not isinstance(rad, int):
             raise TypeError(f"radicand must be int, got {type(rad).__name__}")
+        (an, ad), (bn, bd) = pa, pb
         f, m = (1, rad) if rad in (0, 1) else split_square(rad)
-        if m <= 1 or b == 0:
+        if m <= 1 or bn == 0:
             # sqrt(rad) is rational (or irrelevant): fold it into a
-            a, b, m = a + b * f * m, Fraction(0), 1
-        else:
-            b *= f
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "rad", m)
+            return _build(an * bd + bn * f * m * ad, 0, ad * bd, 1)
+        return _build(an * bd, bn * f * ad, ad * bd, m)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QuadNum is immutable")
@@ -114,26 +143,47 @@ class QuadNum:
         return cls(0, Fraction(1, n.denominator), n.numerator * n.denominator)
 
     @property
+    def a(self) -> Fraction:
+        return Fraction(self._a, self._den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._b, self._den)
+
+    @property
+    def ints(self) -> tuple[int, int, int]:
+        """(a, b, den) of the canonical form (a + b*sqrt(rad))/den."""
+        return self._a, self._b, self._den
+
+    @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._b == 0
+
+    @property
+    def is_integer(self) -> bool:
+        return self._b == 0 and self._den == 1
 
     def to_fraction(self) -> Fraction:
-        if self.b != 0:
+        if self._b:
             raise ValueError(f"{self} is irrational")
-        return self.a
+        return Fraction(self._a, self._den)
+
+    def to_int(self) -> int:
+        if self._b or self._den != 1:
+            raise ValueError(f"{self} is not an integer")
+        return self._a
 
     def conjugate(self) -> "QuadNum":
-        return _from_squarefree(self.a, -self.b, self.rad)
+        return _build(self._a, -self._b, self._den, self.rad)
 
     def norm(self) -> Fraction:
-        return self.a * self.a - self.b * self.b * self.rad
+        return Fraction(self._a * self._a - self._b * self._b * self.rad, self._den * self._den)
 
     def _coerce(self, other: QuadLike) -> "QuadNum | None":
         if isinstance(other, QuadNum):
             return other
-        if isinstance(other, (int, Fraction)):
-            return _from_squarefree(Fraction(other), _ZERO, 1)
-        return None
+        p = _ratio(other)
+        return None if p is None else _build(p[0], 0, p[1], 1)
 
     def _join_rad(self, other: "QuadNum") -> int:
         if self.rad == 1:
@@ -146,7 +196,10 @@ class QuadNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _from_squarefree(self.a + o.a, self.b + o.b, self._join_rad(o))
+        n, d, e = self._join_rad(o), self._den, o._den
+        if d == e:
+            return _build(self._a + o._a, self._b + o._b, d, n)
+        return _build(self._a * e + o._a * d, self._b * e + o._b * d, d * e, n)
 
     __radd__ = __add__
 
@@ -154,29 +207,34 @@ class QuadNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _from_squarefree(self.a - o.a, self.b - o.b, self._join_rad(o))
+        n, d, e = self._join_rad(o), self._den, o._den
+        if d == e:
+            return _build(self._a - o._a, self._b - o._b, d, n)
+        return _build(self._a * e - o._a * d, self._b * e - o._b * d, d * e, n)
 
     def __rsub__(self, other: QuadLike) -> "QuadNum":
         return (-self) + other
 
     def __neg__(self) -> "QuadNum":
-        return _from_squarefree(-self.a, -self.b, self.rad)
+        return _build(-self._a, -self._b, self._den, self.rad)
 
     def __mul__(self, other: QuadLike) -> "QuadNum":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         n = self._join_rad(o)
-        return _from_squarefree(self.a * o.a + self.b * o.b * n, self.a * o.b + self.b * o.a, n)
+        a, b, x, y = self._a, self._b, o._a, o._b
+        return _build(a * x + b * y * n, a * y + b * x, self._den * o._den, n)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadNum":
-        nrm = self.norm()
+        a, b = self._a, self._b
+        nrm = a * a - b * b * self.rad
         if nrm == 0:
             # norm vanishes only at zero: rad squarefree >= 2 makes sqrt(rad) irrational
             raise ZeroDivisionError("inverse of zero")
-        return _from_squarefree(self.a / nrm, -self.b / nrm, self.rad)
+        return _build(a * self._den, -b * self._den, nrm, self.rad)
 
     def __truediv__(self, other: QuadLike) -> "QuadNum":
         o = self._coerce(other)
@@ -192,7 +250,7 @@ class QuadNum:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = _from_squarefree(Fraction(1), _ZERO, 1)
+        out = _build(1, 0, 1, 1)
         base = self
         while k:
             if k & 1:
@@ -202,40 +260,32 @@ class QuadNum:
         return out
 
     def sign(self) -> int:
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        # opposite signs: |a| vs |b|*sqrt(rad), squared comparison is exact
-        t = self.a * self.a - self.b * self.b * self.rad
-        assert t != 0  # a^2 = b^2*rad would make sqrt(rad) rational
-        if self.a > 0:
-            return 1 if t > 0 else -1
-        return -1 if t > 0 else 1
+        return _sign(self._a, self._b, self.rad)
 
     def __abs__(self) -> "QuadNum":
-        return -self if self.sign() < 0 else self
+        return -self if _sign(self._a, self._b, self.rad) < 0 else self
 
     def __eq__(self, other: object) -> bool:
-        o = self._coerce(other) if isinstance(other, (int, Fraction, QuadNum)) else None
-        if o is None:
+        if isinstance(other, QuadNum):
+            return (self._a == other._a and self._b == other._b
+                    and self._den == other._den and self.rad == other.rad)
+        p = _ratio(other)
+        if p is None:
             return NotImplemented
-        return (self.a, self.b, self.rad) == (o.a, o.b, o.rad)
+        return self._b == 0 and self._a == p[0] and self._den == p[1]
 
     def __hash__(self) -> int:
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.rad))
+        if self._b:
+            return hash((self._a, self._b, self._den, self.rad))
+        # equal to the hash of the int or Fraction of the same value
+        return hash(self._a) if self._den == 1 else hash(Fraction(self._a, self._den))
 
     def _cmp(self, other: QuadLike) -> int:
         o = self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare QuadNum with {type(other).__name__}")
-        return (self - o).sign()
+        n, d, e = self._join_rad(o), self._den, o._den
+        return _sign(self._a * e - o._a * d, self._b * e - o._b * d, n)
 
     def __lt__(self, other: QuadLike) -> bool:
         return self._cmp(other) < 0
@@ -250,20 +300,22 @@ class QuadNum:
         return self._cmp(other) >= 0
 
     def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
+        return self._a != 0 or self._b != 0
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
+        a, b, den = self._a, self._b, self._den
+        if b == 0:
+            return _ratio_str(a, den)
         root = f"√{self.rad}"
-        if abs(self.b) == 1:
+        coef = _ratio_str(abs(b), den)
+        if coef == "1":
             bs = root
-        elif self.b.denominator == 1:
-            bs = f"{abs(self.b)}{root}"
+        elif "/" in coef:
+            bs = f"({coef}){root}"
         else:
-            bs = f"({abs(self.b)}){root}"
-        head = "" if self.a == 0 else str(self.a)
-        sign = "-" if self.b < 0 else ("+" if head else "")
+            bs = f"{coef}{root}"
+        head = "" if a == 0 else _ratio_str(a, den)
+        sign = "-" if b < 0 else ("+" if head else "")
         return f"{head}{sign}{bs}"
 
     def __repr__(self) -> str:
@@ -274,28 +326,44 @@ class QuadNum:
         return _decimal(((self.a, 1), (self.b, self.rad)), digits)
 
     def to_json(self) -> dict:
-        return {
-            "a": [self.a.numerator, self.a.denominator],
-            "b": [self.b.numerator, self.b.denominator],
-            "rad": self.rad,
-        }
+        a, b, den = self._a, self._b, self._den
+        g, h = gcd(a, den), gcd(b, den)
+        return {"a": [a // g, den // g], "b": [b // h, den // h], "rad": self.rad}
 
     @classmethod
     def from_json(cls, data: dict) -> "QuadNum":
         return cls(Fraction(*data["a"]), Fraction(*data["b"]), data["rad"])
 
 
+_NEW = object.__new__
+_SET_A, _SET_B, _SET_DEN, _SET_RAD = (
+    vars(QuadNum)[name].__set__ for name in ("_a", "_b", "_den", "rad")
+)
+
+
+def _build(a: int, b: int, den: int, rad: int) -> QuadNum:
+    """(a + b*sqrt(rad))/den for ints with den != 0 and a squarefree rad (any
+    rad when b == 0): divides out the content and makes den positive."""
+    g = gcd(a, b, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        a, b, den = a // g, b // g, den // g
+    q = _NEW(QuadNum)
+    _SET_A(q, a)
+    _SET_B(q, b)
+    _SET_DEN(q, den)
+    _SET_RAD(q, rad if b else 1)
+    return q
+
+
 _ZERO = Fraction(0)
 
 
-def _from_squarefree(a: Fraction, b: Fraction, rad: int) -> QuadNum:
-    """a + b*sqrt(rad) for a squarefree rad, as arithmetic produces it: only
-    a vanished b needs folding into the canonical rad == 1."""
-    q = object.__new__(QuadNum)
-    object.__setattr__(q, "a", a)
-    object.__setattr__(q, "b", b)
-    object.__setattr__(q, "rad", rad if b else 1)
-    return q
+def _from_squarefree(a: RationalLike, b: RationalLike, rad: int) -> QuadNum:
+    """a + b*sqrt(rad) for rational a, b and a squarefree rad, as arithmetic
+    produces it: only a vanished b needs folding into the canonical rad == 1."""
+    return _build(a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator, rad)
 
 
 def _decimal(terms: Sequence[tuple[Fraction, int]], digits: int) -> str:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import families
 from .cremona import ReductionResult, cremona_reduce, quadratic_map
 from .dynamics import ConvergenceCertificate, Ray, SpectrumError, certify_convergence, dominant_ray, eigen, iterate
-from .lattice import DivisorClass, MultiplicityProfile, is_line_pencil_up_to_permutation
+from .lattice import DivisorClass, MultiplicityProfile
 from .quadfield import QuadNum, RadicalSum
 
 
@@ -97,20 +97,22 @@ def certify_pencil(x: DivisorClass) -> PencilCertificate:
     # based at (i, j, k) embeds that block at (0, i, j, k) and fixes every
     # other coordinate, so only the degree and three multiplicities change.
     q = quadratic_map((1, 2, 3), 3)
-    d, *mults = (int(c.to_fraction()) for c in x.coordinates())
+    d, *mults = (c.to_int() for c in x.coordinates())
     nonneg = d > 0 and all(m >= 0 for m in mults)
+    s = len(mults)
     for t in red.steps:
-        if len(set(t)) != 3 or not all(1 <= p <= x.s for p in t):
-            raise ValueError(f"recorded step {t} is not three distinct points in 1..{x.s}")
+        if len(set(t)) != 3 or not all(1 <= p <= s for p in t):
+            raise ValueError(f"recorded step {t} is not three distinct points in 1..{s}")
         i, j, k = (p - 1 for p in t)
         d, *local = q.apply((d, -mults[i], -mults[j], -mults[k]))
         mults[i], mults[j], mults[k] = (-v for v in local)
         nonneg = nonneg and d > 0 and min(mults[i], mults[j], mults[k]) >= 0
+    end = red.reduced
     return PencilCertificate(
         system=x,
         reduction=red,
         endpoint_is_line_pencil=red.is_line_pencil,
-        replay_ok=DivisorClass(d, mults) == red.reduced,
+        replay_ok=end.degree == d and end.s == s and all(m == w for m, w in zip(end.mults, mults)),
         nonnegative_throughout=nonneg,
     )
 
@@ -145,17 +147,11 @@ class EmptinessCertificate:
         }
 
 
-def _first_multiplicity(p: MultiplicityProfile) -> int:
-    v = p.blocks[0][0]
-    assert v.is_rational and v.to_fraction().denominator == 1
-    return v.to_fraction().numerator
-
-
 def emptiness_certificate(system: MultiplicityProfile, pencil: MultiplicityProfile, r: int) -> EmptinessCertificate:
     """Certify emptiness of all multiples of `system`, the order-r split of
     the scaled pencil at its first point."""
     cert = certify_pencil(pencil.expand())
-    a = _first_multiplicity(pencil)
+    a = pencil.blocks[0][0].to_int()
     if r == 2:
         rule = "R2_PENCIL"
         ineqs = (

@@ -320,3 +320,27 @@ def test_reduction_steps_match_the_sorting_reducer_on_tied_classes():
         r = cremona_reduce(x)
         d, mults, steps = _reduce_by_sorting(x)
         assert r.steps == steps and r.reduced == DivisorClass(d, mults)
+
+
+def _reduce_by_scan(x: DivisorClass) -> tuple:
+    """The reduction steps with the three largest picked by `_top_three`."""
+    from morirays.cremona import _top_three
+
+    d, mults, steps = x.degree.to_int(), [m.to_int() for m in x.mults], []
+    while True:
+        i, j, k = _top_three(mults)
+        if d >= mults[i] + mults[j] + mults[k] or d <= 0:
+            return d, tuple(mults), tuple(steps)
+        a, b, c = mults[i], mults[j], mults[k]
+        d, mults[i], mults[j], mults[k] = 2 * d - a - b - c, d - b - c, d - a - c, d - a - b
+        steps.append((i + 1, j + 1, k + 1))
+
+
+def test_reduction_steps_match_the_scan_on_thousands_of_points():
+    from morirays.families import pencil_profile, primed_pencil_profile
+
+    for x in (pencil_profile(2000, 1).expand(), primed_pencil_profile(300, 3).expand()):
+        r = cremona_reduce(x)
+        d, mults, steps = _reduce_by_scan(x)
+        assert x.s > 600 and len(steps) > 500
+        assert r.steps == steps and r.reduced == DivisorClass(d, mults) and r.is_line_pencil

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+import math
 from math import lcm
 
 import pytest
@@ -452,3 +453,20 @@ def test_spectra_against_sympy():
         }
         theirs = {sympy.expand(v): mult for v, mult in M.eigenvals().items()}
         assert ours == theirs, m.rows
+
+
+coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+
+
+@given(st.lists(st.tuples(coefficients, coefficients, st.integers(1, 3)), min_size=1, max_size=5),
+       st.sampled_from([2, 3, 6]), st.fractions(min_value=F(1, 7), max_value=9, max_denominator=7))
+def test_ray_representative_is_primitive_and_scale_free(blocks, rad, scale):
+    p = MultiplicityProfile(QuadNum(blocks[0][1], blocks[0][0], rad),
+                            [(QuadNum(a, b, rad), c) for a, b, c in blocks])
+    if not any((p.degree,) + p.values):
+        return
+    ray = Ray(p)
+    parts = [c.ints for c in (ray.rep.degree,) + ray.rep.values]
+    assert all(den == 1 for _, _, den in parts)
+    assert math.gcd(*(x for a, b, _ in parts for x in (a, b))) == 1
+    assert Ray(p.scale(scale)) == ray == Ray(p.scale(QuadNum(scale, 1, rad) * QuadNum(scale, 1, rad)))

@@ -206,3 +206,9 @@ def test_uncollision_conservation(x, r, data):
     grown = y.canonical_pairing() - x.canonical_pairing()
     assert grown == (r * r - r) * (x.mults[point - 1] / r)
     assert y.collide(point, r) == x
+
+
+def test_line_pencil_needs_multiplicity_exactly_one():
+    assert is_line_pencil_up_to_permutation(DivisorClass(Fraction(3, 3), [0, 0, 1]))
+    for mults in ([0, 2, 0], [0, Fraction(1, 2), 0], [-1, 0, 0], [0, QuadNum(1, 1, 2), 0]):
+        assert not is_line_pencil_up_to_permutation(DivisorClass(1, mults)), mults

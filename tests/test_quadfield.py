@@ -368,3 +368,205 @@ def test_radical_sums_factor_only_the_degree_radicands(monkeypatch):
     assert len(calls) == len(profiles)
     assert expanded.defernex_value() == ray.defernex_value()
     assert len(calls) == len(profiles) + 2
+
+
+# -- the Fraction-based QuadNum as an oracle -----------------------------------
+
+
+class _FractionQuad:
+    """a + b*sqrt(rad) on two Fractions: the storage QuadNum had before it
+    moved to four ints, kept as its oracle."""
+
+    __slots__ = ("a", "b", "rad")
+
+    def __init__(self, a=0, b=0, rad=1):
+        a, b = Fraction(a), Fraction(b)
+        f, m = (1, rad) if rad in (0, 1) else split_square(rad)
+        if m <= 1 or b == 0:
+            a, b, m = a + b * f * m, Fraction(0), 1
+        else:
+            b *= f
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "rad", m)
+
+    @staticmethod
+    def _make(a, b, rad):
+        return _FractionQuad(a, b, rad if b else 1)  # rad is squarefree: no folding
+
+    def _coerce(self, other):
+        return other if isinstance(other, _FractionQuad) else _FractionQuad(other)
+
+    def _join_rad(self, o):
+        if self.rad == 1:
+            return o.rad
+        if o.rad in (1, self.rad):
+            return self.rad
+        raise MixedRadicandError
+
+    def conjugate(self):
+        return self._make(self.a, -self.b, self.rad)
+
+    def norm(self):
+        return self.a * self.a - self.b * self.b * self.rad
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return self._make(self.a + o.a, self.b + o.b, self._join_rad(o))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return self._make(self.a - o.a, self.b - o.b, self._join_rad(o))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return self._make(-self.a, -self.b, self.rad)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        n = self._join_rad(o)
+        return self._make(self.a * o.a + self.b * o.b * n, self.a * o.b + self.b * o.a, n)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        nrm = self.norm()
+        if nrm == 0:
+            raise ZeroDivisionError
+        return self._make(self.a / nrm, -self.b / nrm, self.rad)
+
+    def __truediv__(self, other):
+        return self * self._coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = _FractionQuad(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def sign(self):
+        if self.b == 0:
+            return (self.a > 0) - (self.a < 0)
+        if self.a == 0 or (self.a > 0) == (self.b > 0):
+            return 1 if self.b > 0 else -1
+        t = self.a * self.a - self.b * self.b * self.rad
+        return (1 if t > 0 else -1) if self.a > 0 else (-1 if t > 0 else 1)
+
+    def __abs__(self):
+        return -self if self.sign() < 0 else self
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        return (self.a, self.b, self.rad) == (o.a, o.b, o.rad)
+
+    def __hash__(self):
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b, self.rad))
+
+    def __lt__(self, other):
+        return (self - other).sign() < 0
+
+    def __le__(self, other):
+        return (self - other).sign() <= 0
+
+    def __gt__(self, other):
+        return (self - other).sign() > 0
+
+    def __ge__(self, other):
+        return (self - other).sign() >= 0
+
+    def __bool__(self):
+        return self.a != 0 or self.b != 0
+
+    def __str__(self):
+        if self.b == 0:
+            return str(self.a)
+        root = f"√{self.rad}"
+        if abs(self.b) == 1:
+            bs = root
+        elif self.b.denominator == 1:
+            bs = f"{abs(self.b)}{root}"
+        else:
+            bs = f"({abs(self.b)}){root}"
+        head = "" if self.a == 0 else str(self.a)
+        sign = "-" if self.b < 0 else ("+" if head else "")
+        return f"{head}{sign}{bs}"
+
+    def __repr__(self):
+        return f"QuadNum({self.a!r}, {self.b!r}, {self.rad})"
+
+    def decimal(self, digits=6):
+        return quadfield._decimal(((self.a, 1), (self.b, self.rad)), digits)
+
+    def to_json(self):
+        return {"a": [self.a.numerator, self.a.denominator],
+                "b": [self.b.numerator, self.b.denominator], "rad": self.rad}
+
+
+def _view(v):
+    """What a result shows: every rendering of a quadratic number, or the
+    value and type of anything else."""
+    if isinstance(v, (QuadNum, _FractionQuad)):
+        return (v.a, v.b, v.rad, str(v), repr(v), v.to_json(), bool(v), v.sign())
+    return (type(v), v)
+
+
+def _outcome(f, *args):
+    try:
+        return _view(f(*args))
+    except (ArithmeticError, ValueError) as e:
+        return type(e)
+
+
+rationals = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.integers(-10**30, 10**30),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=60),
+    st.just(0),
+    st.just(Fraction(0)),
+)
+# radicands with square factors, trivial ones and the shared rad squarefree parts
+radicands = st.one_of(st.sampled_from([0, 1, 2, 3, 5, 6, 8, 12, 18, 20, 27, 45, 50, 72]),
+                      st.integers(0, 400))
+
+
+@given(rationals, rationals, radicands, rationals, rationals, radicands, rationals, st.integers(-3, 3))
+def test_int_storage_matches_the_fraction_oracle(a, b, r, c, e, r2, x, k):
+    new, old = QuadNum(a, b, r), _FractionQuad(a, b, r)
+    assert _view(new) == _view(old)
+    assert type(new.a) is Fraction and type(new.b) is Fraction
+    # a second operand on the same radicand, and one on an unrelated radicand
+    for rad in (r, r2):
+        y, yo = QuadNum(c, e, rad), _FractionQuad(c, e, rad)
+        ops = [
+            lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q, lambda p, q: p / q,
+            lambda p, q: p < q, lambda p, q: p <= q, lambda p, q: p > q, lambda p, q: p >= q,
+            lambda p, q: p == q, lambda p, q: p != q,
+        ]
+        for op in ops:
+            assert _outcome(op, new, y) == _outcome(op, old, yo)
+    # an int or Fraction on either side
+    for op in (lambda p: p + x, lambda p: x + p, lambda p: p - x, lambda p: x - p, lambda p: p * x,
+               lambda p: x * p, lambda p: p / x, lambda p: x / p, lambda p: p == x, lambda p: x == p,
+               lambda p: p < x, lambda p: x < p, lambda p: p >= x, lambda p: p ** k):
+        assert _outcome(op, new) == _outcome(op, old)
+    for op in (lambda p: -p, abs, lambda p: p.conjugate(), lambda p: p.inverse(), lambda p: p.norm()):
+        assert _outcome(op, new) == _outcome(op, old)
+    # rationals that share a numerator or a denominator with a
+    for q in (old.a.numerator, old.a.denominator, int(old.a), old.a,
+              Fraction(old.a.numerator, old.a.denominator + 1)):
+        assert (new == q) is (old == q) and (q == new) is (q == old)
+    assert QuadNum.from_json(new.to_json()) == new
+    assert all(new.decimal(d) == old.decimal(d) for d in (0, 1, 4, 9))
+    if new.is_rational:
+        assert hash(new) == hash(old) == hash(old.a) and new == old.a and new.to_fraction() == old.a
+    else:
+        assert hash(new) == hash(QuadNum(old.a, old.b, old.rad))

@@ -325,3 +325,23 @@ def test_wonderful_report_when_the_spectrum_is_unsupported(monkeypatch):
         ("convergence", "seed (1, 1, 0, 0): no simple dominant eigenvalue"),
     ]
     assert [cert for _, cert in rep.convergence] == [None, None]
+
+
+@pytest.mark.parametrize("family,n,k", [("even", 6, 6), ("odd", 5, 6), ("sq4", 5, 4), ("sq2", 5, 4)])
+def test_good_certificates_build_no_fraction(monkeypatch, family, n, k):
+    from fractions import Fraction
+
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert Fraction(1, 2) and len(built) == 1  # the wrapper sees constructions
+    built.clear()
+    cert = verify_good(family, n, k)
+    data = cert.to_json()
+    assert built == []
+    assert data["valid"] is True and cert.pencil.reduction.to_json()["is_line_pencil"] is True
