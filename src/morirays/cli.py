@@ -40,6 +40,11 @@ class UsageError(Exception):
     pass
 
 
+# Python renders no int of more than 4300 digits as a string (the default of
+# sys.set_int_max_str_digits), so decimal displays stop there.
+MAX_DIGITS = 4300
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     """'a..b' inclusive, or a single integer."""
     lo, sep, hi = text.partition("..")
@@ -452,6 +457,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.digits < 0:
             raise UsageError(f"--digits must be >= 0, got {args.digits}")
+        if args.digits > MAX_DIGITS:
+            raise UsageError(f"--digits must be <= {MAX_DIGITS}, got {args.digits}")
         return args.func(args)
     except (UsageError, ValueError, SpectrumError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)

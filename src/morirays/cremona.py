@@ -12,24 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from operator import mul
 from typing import Iterable, Sequence
 
 from .lattice import DivisorClass, ShapeError, is_line_pencil_up_to_permutation
 
 
 def _mat_vec(rows: tuple[tuple[int, ...], ...], vec: Sequence) -> tuple:
-    """rows @ vec for a square integer matrix; zero entries are skipped, so a
-    sparse matrix costs one product per nonzero entry."""
+    """rows @ vec for a square integer matrix: each row is one
+    sum(map(mul, row, vec)), so it costs one product per entry, zeros
+    included."""
     if len(vec) != len(rows):
         raise ValueError(f"vector length {len(vec)} != {len(rows)}")
-    out = []
-    for row in rows:
-        acc = row[0] * vec[0]
-        for c, v in zip(row[1:], vec[1:]):
-            if c:
-                acc = acc + c * v
-        out.append(acc)
-    return tuple(out)
+    return tuple([sum(map(mul, row, vec)) for row in rows])
 
 
 class _IntMatrix:
@@ -396,30 +391,6 @@ class ReductionResult:
             "is_reduced": self.is_reduced,
             "is_line_pencil": self.is_line_pencil,
         }
-
-
-def _top_three(mults: list[int]) -> list[int]:
-    """Indices of the three largest entries, ties toward lower indices, in
-    increasing order: one pass, no sort of the whole list.  The reference
-    for the heap selection of `cremona_reduce`."""
-    a, b, c = 0, 1, 2
-    ma, mb, mc = mults[0], mults[1], mults[2]
-    if mb > ma:
-        a, b, ma, mb = b, a, mb, ma
-    if mc > mb:
-        b, c, mb, mc = c, b, mc, mb
-        if mb > ma:
-            a, b, ma, mb = b, a, mb, ma
-    for i in range(3, len(mults)):
-        m = mults[i]
-        if m > mc:  # strict: an earlier index keeps a tie
-            if m <= mb:
-                c, mc = i, m
-            elif m <= ma:
-                b, c, mb, mc = i, b, m, mb
-            else:
-                a, b, c, ma, mb, mc = i, a, b, m, ma, mb
-    return sorted((a, b, c))
 
 
 def cremona_reduce(x: DivisorClass, max_steps: int = 100000) -> ReductionResult:

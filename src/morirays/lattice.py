@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .quadfield import QuadNum, RadicalSum, _build
+from .quadfield import QuadNum, RadicalSum, _build, _root_pieces
 
 Coord = "int | Fraction | QuadNum"
 
@@ -54,6 +54,17 @@ def _coord_from_json(data) -> QuadNum:
     if isinstance(data, list):
         return QuadNum(Fraction(data[0], data[1]))
     return QuadNum.from_json(data)
+
+
+def _defernex_value(degree: QuadNum, s: int, pieces: list) -> RadicalSum:
+    """degree*sqrt(s-1) plus the multiplicity side, given as RadicalSum
+    pieces (rad, num, den) on squarefree radicands: only s-1 and
+    degree.rad*(s-1) are factored."""
+    a, b, den = degree.ints
+    for num, rad in ((a, s - 1), (b, degree.rad * (s - 1))):
+        if num:
+            pieces += _root_pieces(num, rad, den)
+    return RadicalSum._from_pieces(pieces)
 
 
 class DivisorClass:
@@ -105,11 +116,11 @@ class DivisorClass:
 
     def defernex_value(self) -> RadicalSum:
         """Pairing with F_s = sqrt(s-1)H - sum E_i, as an exact radical sum."""
-        d = self.degree
-        blocks = []
+        pieces = []
         for m in self.mults:
-            blocks += ((1, -m.a), (m.rad, -m.b))
-        return RadicalSum([(d.a, self.s - 1), (d.b, d.rad * (self.s - 1))]) + RadicalSum._squarefree(blocks)
+            a, b, den = m.ints
+            pieces += ((1, -a, den), (m.rad, -b, den))
+        return _defernex_value(self.degree, self.s, pieces)
 
     def defernex_sign(self) -> int:
         return self.defernex_value().sign()
@@ -356,11 +367,11 @@ class MultiplicityProfile:
         return out
 
     def defernex_value(self) -> RadicalSum:
-        d = self.degree
-        blocks = []
+        pieces = []
         for v, c in self.blocks:
-            blocks += ((1, -c * v.a), (v.rad, -c * v.b))
-        return RadicalSum([(d.a, self.s - 1), (d.b, d.rad * (self.s - 1))]) + RadicalSum._squarefree(blocks)
+            a, b, den = v.ints
+            pieces += ((1, -c * a, den), (v.rad, -c * b, den))
+        return _defernex_value(self.degree, self.s, pieces)
 
     def defernex_sign(self) -> int:
         return self.defernex_value().sign()

@@ -4,15 +4,17 @@ A QuadNum is (a + b*sqrt(rad))/den stored as four ints over a squarefree
 rad, in the manner of Sage's NumberFieldElement_quadratic: arithmetic,
 sign, comparisons and equality work on those ints and build no Fraction.
 `.a` and `.b` read the rational parts as Fractions.  RadicalSum, a sum of
-rational multiples of square roots of several radicands, keeps Fraction
-coefficients.  No floating point is used anywhere.
+rational multiples of square roots of several radicands, stores int
+numerators over one common denominator in the same way; its `terms` read
+the coefficients as Fractions.  Both render decimals through one integer
+renderer, `_decimal`.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -66,12 +68,6 @@ def split_square(n: int) -> tuple[int, int]:
     if r * r == rest:
         return f * r, m
     return f, m * rest
-
-
-def _frac(x: RationalLike) -> Fraction:
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise TypeError(f"expected rational, got {type(x).__name__}")
 
 
 def _ratio(x: object) -> tuple[int, int] | None:
@@ -136,11 +132,15 @@ class QuadNum:
     @classmethod
     def sqrt(cls, n: RationalLike) -> "QuadNum":
         """Exact square root of a non-negative rational."""
-        n = _frac(n)
-        if n < 0:
+        p = _ratio(n)
+        if p is None:
+            raise TypeError(f"expected rational, got {type(n).__name__}")
+        num, den = p
+        if num < 0:
             raise ValueError(f"sqrt of negative rational {n}")
         # sqrt(p/q) = sqrt(p*q)/q
-        return cls(0, Fraction(1, n.denominator), n.numerator * n.denominator)
+        root = cls(0, 1, num * den)
+        return _build(root._a, root._b, root._den * den, root.rad)
 
     @property
     def a(self) -> Fraction:
@@ -323,7 +323,7 @@ class QuadNum:
 
     def decimal(self, digits: int = 6) -> str:
         """Decimal rendering, display only; exact digits via integer sqrt."""
-        return _decimal(((self.a, 1), (self.b, self.rad)), digits)
+        return _decimal(((1, self._a), (self.rad, self._b)), self._den, digits)
 
     def to_json(self) -> dict:
         a, b, den = self._a, self._b, self._den
@@ -357,154 +357,184 @@ def _build(a: int, b: int, den: int, rad: int) -> QuadNum:
     return q
 
 
-_ZERO = Fraction(0)
-
-
-def _from_squarefree(a: RationalLike, b: RationalLike, rad: int) -> QuadNum:
-    """a + b*sqrt(rad) for rational a, b and a squarefree rad, as arithmetic
-    produces it: only a vanished b needs folding into the canonical rad == 1."""
-    return _build(a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator, rad)
-
-
-def _decimal(terms: Sequence[tuple[Fraction, int]], digits: int) -> str:
-    """Decimal rendering of the sum of c*sqrt(r) over (c, r) pairs with
-    squarefree r, display only.  A term with r == 1 is exact; every other
-    sqrt(r) is irrational and is bracketed by integer sqrt, and the bracket
-    tightens until both ends round alike.  A rational sum is a single point,
-    so it rounds once even when it sits exactly on a rounding half."""
+def _decimal(nums: Sequence[tuple[int, int]], den: int, digits: int) -> str:
+    """Decimal rendering of the sum of c*sqrt(r)/den over (r, c) pairs of
+    ints with squarefree r and den > 0, display only.  A term with r == 1 is
+    exact; every other sqrt(r) is irrational and is bracketed by integer
+    sqrt, and the bracket tightens until both ends round alike.  A rational
+    sum is a single point, so it rounds once even when it sits exactly on a
+    rounding half."""
     guard = digits + 6
     while True:
         scale = 10 ** guard
-        lo = hi = Fraction(0)
-        for c, r in terms:
+        lo = hi = 0
+        for r, c in nums:
             if r == 1:
-                lo += c
-                hi += c
+                lo += c * scale
+                hi += c * scale
                 continue
-            root = isqrt(r * scale * scale)
-            # sqrt(r) in [root, root+1]/scale
-            ends = (c * Fraction(root, scale), c * Fraction(root + 1, scale))
-            lo += min(ends)
-            hi += max(ends)
-        out = {_round_str(v, digits) for v in (lo, hi)}
-        if len(out) == 1:
-            return out.pop()
+            # sqrt(r) in [root, root+1]/scale, so c*sqrt(r) lies between
+            # c*root and c*root + c
+            base = c * isqrt(r * scale * scale)
+            lo += base + min(c, 0)
+            hi += base + max(c, 0)
+        out = _round_str(lo, den * scale, digits)
+        if lo == hi or out == _round_str(hi, den * scale, digits):
+            return out
         guard *= 2  # rounding boundary: tighten the bracket
 
 
-def _round_str(v: Fraction, digits: int) -> str:
+def _round_str(n: int, d: int, digits: int) -> str:
+    """n/d for d > 0, rounded half up at the last of `digits` decimals."""
     q = 10 ** digits
-    n = v.numerator * q * 2 + v.denominator  # round half up at the last digit
-    t = n // (2 * v.denominator)
+    t = (n * q * 2 + d) // (2 * d)
     sign = "-" if t < 0 else ""
-    t = abs(t)
-    whole, frac = divmod(t, q)
+    whole, frac = divmod(abs(t), q)
     return f"{sign}{whole}.{frac:0{digits}d}" if digits else f"{sign}{whole}"
+
+
+# A piece (r, c, d) is the term c*sqrt(r)/d, with r squarefree (1 for a
+# rational term) and d > 0.
+Piece = tuple[int, int, int]
+
+
+def _root_pieces(num: int, rad: int, den: int) -> tuple[Piece, Piece]:
+    """num*sqrt(rad)/den for a nonzero int num and any rad >= 0, as a
+    rational and an irrational piece; the QuadNum constructor factors rad."""
+    q = QuadNum(0, num, rad)
+    return (1, q._a, den), (q.rad, q._b, den)
+
+
+def _pieces(x: object) -> "Iterable[Piece] | None":
+    """The pieces of a RadicalSum, QuadNum, int or Fraction; None otherwise."""
+    if isinstance(x, RadicalSum):
+        return ((r, c, x._den) for r, c in x._nums)
+    if isinstance(x, QuadNum):
+        return (1, x._a, x._den), (x.rad, x._b, x._den)
+    p = _ratio(x)
+    return None if p is None else ((1, p[0], p[1]),)
 
 
 class RadicalSum:
     """Finite sum q0 + q1*sqrt(N1) + q2*sqrt(N2) + ... with rational qi.
 
-    Supports addition and rational scaling only; the exact sign is decidable
-    for at most two distinct irrational radicands.  Used for pairings whose
-    value leaves a single quadratic field.
+    Stored as ints: `_nums` holds the (radicand, numerator) pairs with a
+    nonzero numerator in increasing radicand order, radicand 1 for the
+    rational part, all over the one common denominator `_den` > 0.  The
+    numerators and `_den` have no common factor, so equal sums have equal
+    storage.  Supports addition and rational scaling only; the exact sign is
+    decidable for at most two distinct irrational radicands.  Used for
+    pairings whose value leaves a single quadratic field.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Iterable[tuple[RationalLike, int]] = ()):
         """Sum of coef*sqrt(rad) over (coef, rad) pairs; each radicand with a
         nonzero coefficient is factored by the QuadNum constructor."""
-        pairs: list[tuple[int, Fraction]] = []
+        pieces: list[Piece] = []
         for coef, rad in terms:
-            coef = _frac(coef)
-            if coef:
-                q = QuadNum(0, coef, rad)
-                pairs += ((1, q.a), (q.rad, q.b))
+            p = _ratio(coef)
+            if p is None:
+                raise TypeError(f"expected rational, got {type(coef).__name__}")
+            if p[0]:
+                pieces += _root_pieces(p[0], rad, p[1])
             elif not isinstance(rad, int) or rad < 0:
                 raise ValueError(f"bad radicand {rad!r}")
-        object.__setattr__(self, "terms", RadicalSum._squarefree(pairs).terms)
+        out = RadicalSum._from_pieces(pieces)
+        object.__setattr__(self, "_nums", out._nums)
+        object.__setattr__(self, "_den", out._den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RadicalSum is immutable")
 
     @classmethod
-    def _squarefree(cls, pairs: Iterable[tuple[int, Fraction]]) -> "RadicalSum":
-        """Sum of c*sqrt(r) over (r, c) pairs whose radicands are already
-        squarefree (1 for a rational term): like terms merge, nothing is
-        factored."""
-        acc: dict[int, Fraction] = {}
-        for r, c in pairs:
-            if c:
-                acc[r] = acc.get(r, _ZERO) + c
+    def _from_pieces(cls, pieces: Iterable[Piece]) -> "RadicalSum":
+        """Sum of c*sqrt(r)/d over (r, c, d) pieces whose radicands are
+        already squarefree: like terms merge over the lcm of the
+        denominators, the content is divided out, nothing is factored."""
+        pieces = [p for p in pieces if p[1]]
+        den = lcm(*(d for _, _, d in pieces))
+        acc: dict[int, int] = {}
+        for r, c, d in pieces:
+            acc[r] = acc.get(r, 0) + c * (den // d)
+        nums = sorted((r, c) for r, c in acc.items() if c)
+        g = gcd(den, *(c for _, c in nums))
         out = object.__new__(cls)
-        object.__setattr__(out, "terms", tuple(sorted((r, c) for r, c in acc.items() if c)))
+        object.__setattr__(out, "_nums", tuple((r, c // g) for r, c in nums))
+        object.__setattr__(out, "_den", den // g)
         return out
+
+    @property
+    def terms(self) -> tuple[tuple[int, Fraction], ...]:
+        """The (radicand, coefficient) pairs, coefficients as Fractions."""
+        return tuple((r, Fraction(c, self._den)) for r, c in self._nums)
 
     @classmethod
     def from_quad(cls, q: QuadNum) -> "RadicalSum":
-        return cls._squarefree(((1, q.a), (q.rad, q.b)))
+        return cls._from_pieces(_pieces(q))
 
     def __add__(self, other: "RadicalSum | QuadNum | int | Fraction") -> "RadicalSum":
-        if isinstance(other, RadicalSum):
-            pairs = other.terms
-        elif isinstance(other, QuadNum):
-            pairs = ((1, other.a), (other.rad, other.b))
-        elif isinstance(other, (int, Fraction)):
-            pairs = ((1, Fraction(other)),)
-        else:
+        pieces = _pieces(other)
+        if pieces is None:
             return NotImplemented
-        return RadicalSum._squarefree(chain(self.terms, pairs))
+        return RadicalSum._from_pieces(chain(_pieces(self), pieces))
 
     __radd__ = __add__
 
     def __sub__(self, other: "RadicalSum | QuadNum | int | Fraction") -> "RadicalSum":
-        if isinstance(other, (QuadNum, int, Fraction, RadicalSum)):
-            return self + (other * -1 if isinstance(other, RadicalSum) else -other)
-        return NotImplemented
+        pieces = _pieces(other)
+        if pieces is None:
+            return NotImplemented
+        return RadicalSum._from_pieces(chain(_pieces(self), ((r, -c, d) for r, c, d in pieces)))
 
     def __mul__(self, scalar: RationalLike) -> "RadicalSum":
-        if not isinstance(scalar, (int, Fraction)):
+        p = _ratio(scalar)
+        if p is None:
             return NotImplemented
-        return RadicalSum._squarefree((r, c * scalar) for r, c in self.terms)
+        n, d = p
+        return RadicalSum._from_pieces((r, c * n, self._den * d) for r, c in self._nums)
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, RadicalSum) and self.terms == other.terms
+        return isinstance(other, RadicalSum) and self._nums == other._nums and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash(self.terms)
+        return hash((self._nums, self._den))
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def sign(self) -> int:
-        irr = [(r, c) for r, c in self.terms if r != 1]
-        rat = next((c for r, c in self.terms if r == 1), Fraction(0))
+        # _den > 0, so the numerators alone carry the sign
+        irr = self._nums
+        rat = 0
+        if irr and irr[0][0] == 1:
+            rat, irr = irr[0][1], irr[1:]
         if not irr:
             return (rat > 0) - (rat < 0)
-        # the constructor left every radicand in `terms` squarefree
         if len(irr) == 1:
-            return _from_squarefree(rat, irr[0][1], irr[0][0]).sign()
+            return _sign(rat, irr[0][1], irr[0][0])
         if len(irr) > 2:
             raise MixedRadicandError(f"sign undecided for {len(irr)} distinct radicands")
         (n1, c1), (n2, c2) = irr
-        u = _from_squarefree(rat, c1, n1)
-        # compare u against -c2*sqrt(n2); squares settle it within Q(sqrt(n1))
-        t = (u * u - c2 * c2 * n2).sign()
+        u = _sign(rat, c1, n1)
+        # compare u = rat + c1*sqrt(n1) against -c2*sqrt(n2); the sign of
+        # u^2 - c2^2*n2 settles it within Q(sqrt(n1))
+        t = _sign(rat * rat + c1 * c1 * n1 - c2 * c2 * n2, 2 * rat * c1, n1)
         assert t != 0  # equality would force sqrt(n1*n2) rational
         if c2 > 0:
-            return 1 if u.sign() >= 0 else -t
-        return -1 if u.sign() <= 0 else t
+            return 1 if u >= 0 else -t
+        return -1 if u <= 0 else t
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._nums:
             return "0"
         parts = []
-        for r, c in self.terms:
-            piece = str(c) if r == 1 else str(_from_squarefree(_ZERO, c, r))
+        for r, c in self._nums:
+            piece = _ratio_str(c, self._den) if r == 1 else str(_build(0, c, self._den, r))
             if parts and not piece.startswith("-"):
                 parts.append("+" + piece)
             else:
@@ -516,10 +546,14 @@ class RadicalSum:
 
     def decimal(self, digits: int = 6) -> str:
         """Decimal rendering, display only."""
-        return _decimal([(c, r) for r, c in self.terms], digits)
+        return _decimal(self._nums, self._den, digits)
 
     def to_json(self) -> dict:
-        return {"terms": [[c.numerator, c.denominator, r] for r, c in self.terms]}
+        out = []
+        for r, c in self._nums:
+            g = gcd(c, self._den)
+            out.append([c // g, self._den // g, r])
+        return {"terms": out}
 
     @classmethod
     def from_json(cls, data: dict) -> "RadicalSum":

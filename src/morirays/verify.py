@@ -17,13 +17,12 @@ multiple m, so it is checked once as a coefficient statement, never swept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import families
 from .cremona import ReductionResult, cremona_reduce, quadratic_map
 from .dynamics import ConvergenceCertificate, Ray, SpectrumError, certify_convergence, dominant_ray, eigen, iterate
 from .lattice import DivisorClass, MultiplicityProfile
-from .quadfield import QuadNum, RadicalSum
+from .quadfield import QuadNum, RadicalSum, _ratio_str
 
 
 @dataclass(frozen=True)
@@ -97,16 +96,18 @@ def certify_pencil(x: DivisorClass) -> PencilCertificate:
     # based at (i, j, k) embeds that block at (0, i, j, k) and fixes every
     # other coordinate, so only the degree and three multiplicities change.
     q = quadratic_map((1, 2, 3), 3)
-    d, *mults = (c.to_int() for c in x.coordinates())
+    d = x.degree.to_int()
+    mults = [m.to_int() for m in x.mults]
     nonneg = d > 0 and all(m >= 0 for m in mults)
     s = len(mults)
     for t in red.steps:
-        if len(set(t)) != 3 or not all(1 <= p <= s for p in t):
+        i, j, k = t if len(t) == 3 else (0, 0, 0)  # any other length fails the check below
+        if not (0 < i <= s and 0 < j <= s and 0 < k <= s and i != j != k != i):
             raise ValueError(f"recorded step {t} is not three distinct points in 1..{s}")
-        i, j, k = (p - 1 for p in t)
-        d, *local = q.apply((d, -mults[i], -mults[j], -mults[k]))
-        mults[i], mults[j], mults[k] = (-v for v in local)
-        nonneg = nonneg and d > 0 and min(mults[i], mults[j], mults[k]) >= 0
+        i, j, k = i - 1, j - 1, k - 1
+        d, mi, mj, mk = q.apply((d, -mults[i], -mults[j], -mults[k]))
+        mults[i], mults[j], mults[k] = -mi, -mj, -mk
+        nonneg = nonneg and d > 0 and mi <= 0 and mj <= 0 and mk <= 0
     end = red.reduced
     return PencilCertificate(
         system=x,
@@ -483,12 +484,13 @@ def sq2_bound_chain(n: int) -> tuple[Check, ...]:
         diff == 14 * n * n - 9 > 0,
     )
     positive = Check("coefficients", f"P = {P} > 0 and Q = {Q} > 0", P > 0 and Q > 0)
-    substituted = A + P * (Fraction(2 * n * n + 6 * n + 1, 2 * n)) - Q * (7 * n * n - 3)
+    # A + P*(2n^2+6n+1)/(2n) - Q*(7n^2-3), as a numerator over 2n
+    substituted = (A - Q * (7 * n * n - 3)) * 2 * n + P * (2 * n * n + 6 * n + 1)
     target = 7 * (-7 * n * n + 24 * n + 22)
     collapse = Check(
         "substitution",
-        f"A + P*(n+3+1/(2n)) - Q*(7n^2-3) = {substituted} = 7(-7n^2+24n+22)",
-        substituted == target,
+        f"A + P*(n+3+1/(2n)) - Q*(7n^2-3) = {_ratio_str(substituted, 2 * n)} = 7(-7n^2+24n+22)",
+        substituted == target * 2 * n,
     )
     final = Check("final-sign", f"7(-7n^2+24n+22) = {target} < 0 for n >= 5", n < 5 or target < 0)
     return (upper_u, lower_v, positive, collapse, final)

@@ -222,6 +222,26 @@ def test_negative_digits_is_a_usage_error(capsys, argv, digits):
     assert run(capsys, *argv, "--digits", digits) == (2, "", f"error: --digits must be >= 0, got {digits}\n")
 
 
+@pytest.mark.parametrize("digits", ["4301", "100000"])
+@pytest.mark.parametrize("argv", [
+    ["pair", "--ray", "Wplus_sq2:10000", "--with", "F"],
+    ["eigenray", "--family", "sq2", "--n", "40"],
+    ["verify", "--family", "even", "--n", "2", "--k", "1"],
+    ["orbit", "--family", "odd", "--n", "2", "--k", "1"],
+], ids=lambda argv: argv[0])
+def test_digits_above_the_int_string_limit_is_a_usage_error(capsys, argv, digits):
+    # Python renders no int of more than 4300 digits, so whether such a value
+    # fails used to depend on the value; now every command refuses it
+    assert run(capsys, *argv, "--digits", digits) == (2, "", f"error: --digits must be <= 4300, got {digits}\n")
+
+
+def test_digits_at_the_int_string_limit_renders(capsys):
+    code, out, err = run(capsys, "pair", "--ray", "odd:2", "--with", "F", "--digits", "4300")
+    assert (code, err) == (0, "")
+    whole, frac = out.split("~ ")[1].split(" ")[0].split(".")
+    assert len(frac) == 4300 and whole.lstrip("-").isdigit()
+
+
 @pytest.mark.parametrize("family", families.FAMILIES, ids=lambda f: f.tag)
 def test_alias_gives_the_same_bytes_as_tag(capsys, family):
     for argv in (["pair", "--ray", "{}:3", "--with", "F"], ["eigenray", "--family", "{}", "--n", "3"]):
@@ -308,3 +328,29 @@ def test_eigenray_decomposes_once(capsys, monkeypatch, family, fmt):
     monkeypatch.setattr(dynamics, "char_poly", counting)
     code, _, _ = run(capsys, "eigenray", "--family", family, "--n", "3", "--format", fmt)
     assert code == 0 and len(calls) == 1
+
+
+def test_certificate_and_pairing_runs_build_no_fraction(capsys, monkeypatch):
+    """The certify-grid and pair-scale style runs stay on ints end to end."""
+    from fractions import Fraction
+
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert Fraction(1, 2) and len(built) == 1  # the wrapper sees constructions
+    built.clear()
+    for name in families.GOOD_TAGS:
+        code, out, _ = run(capsys, "verify", "--family", name, "--n", "1..5", "--k", "1..4", "--format", "json")
+        assert code == 0 and json.loads(out)["valid"] is True
+    for family in families.FAMILIES:
+        for n in (2, 100, 10**4):
+            for with_ in ("K", "F", "self"):
+                for fmt in ("json", "csv", "pretty"):
+                    code, out, _ = run(capsys, "pair", "--ray", f"{family.tag}:{n}", "--with", with_, "--format", fmt)
+                    assert code == 0 and out
+    assert built == []

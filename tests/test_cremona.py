@@ -302,9 +302,31 @@ def _reduce_by_sorting(x: DivisorClass) -> tuple:
         steps.append((i + 1, j + 1, k + 1))
 
 
-def test_top_three_scan_picks_what_a_full_sort_picks():
-    from morirays.cremona import _top_three
+def _top_three(mults: list[int]) -> list[int]:
+    """Indices of the three largest entries, ties toward lower indices, in
+    increasing order: one pass, no sort of the whole list.  The reference
+    for the heap selection of `cremona_reduce`."""
+    a, b, c = 0, 1, 2
+    ma, mb, mc = mults[0], mults[1], mults[2]
+    if mb > ma:
+        a, b, ma, mb = b, a, mb, ma
+    if mc > mb:
+        b, c, mb, mc = c, b, mc, mb
+        if mb > ma:
+            a, b, ma, mb = b, a, mb, ma
+    for i in range(3, len(mults)):
+        m = mults[i]
+        if m > mc:  # strict: an earlier index keeps a tie
+            if m <= mb:
+                c, mc = i, m
+            elif m <= ma:
+                b, c, mb, mc = i, b, m, mb
+            else:
+                a, b, c, ma, mb, mc = i, a, b, m, ma, mb
+    return sorted((a, b, c))
 
+
+def test_top_three_scan_picks_what_a_full_sort_picks():
     rng = random.Random(2024)
     for _ in range(3000):
         s = rng.choice((3, 4, 5, 8, 13, 50))
@@ -324,8 +346,6 @@ def test_reduction_steps_match_the_sorting_reducer_on_tied_classes():
 
 def _reduce_by_scan(x: DivisorClass) -> tuple:
     """The reduction steps with the three largest picked by `_top_three`."""
-    from morirays.cremona import _top_three
-
     d, mults, steps = x.degree.to_int(), [m.to_int() for m in x.mults], []
     while True:
         i, j, k = _top_three(mults)

@@ -9,6 +9,7 @@ from morirays import (
     DivisorClass,
     MultiplicityProfile,
     QuadNum,
+    RadicalSum,
     ShapeError,
     canonical_class,
     defernex_class,
@@ -212,3 +213,22 @@ def test_line_pencil_needs_multiplicity_exactly_one():
     assert is_line_pencil_up_to_permutation(DivisorClass(Fraction(3, 3), [0, 0, 1]))
     for mults in ([0, 2, 0], [0, Fraction(1, 2), 0], [-1, 0, 0], [0, QuadNum(1, 1, 2), 0]):
         assert not is_line_pencil_up_to_permutation(DivisorClass(1, mults)), mults
+
+
+small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+
+
+@given(small_rationals, small_rationals, st.sampled_from([1, 2, 3, 5, 12]),
+       st.lists(st.tuples(small_rationals, small_rationals, st.integers(1, 4)), min_size=1, max_size=4))
+def test_defernex_value_with_denominators_matches_the_term_by_term_sum(da, db, rad, blocks):
+    """Degrees and multiplicities with denominators: the pairing with F_s
+    equals degree*sqrt(s-1) minus each multiplicity, summed one by one."""
+    degree = QuadNum(da, db, rad)
+    profile = MultiplicityProfile(degree, [(QuadNum(a, b, rad), c) for a, b, c in blocks])
+    s = profile.s
+    expect = RadicalSum([(degree.a, s - 1), (degree.b, degree.rad * (s - 1))])
+    for v, c in profile.blocks:
+        for _ in range(c):
+            expect = expect - v
+    assert profile.defernex_value() == expect
+    assert profile.expand().defernex_value() == expect

@@ -373,6 +373,37 @@ def test_radical_sums_factor_only_the_degree_radicands(monkeypatch):
 # -- the Fraction-based QuadNum as an oracle -----------------------------------
 
 
+def _fraction_decimal(terms, digits):
+    """The Fraction renderer the decimals had before they moved to ints, kept
+    as their oracle: the sum of c*sqrt(r) over (c, r) pairs with squarefree
+    r, bracketed by integer sqrt until both ends round alike."""
+    guard = digits + 6
+    while True:
+        scale = 10 ** guard
+        lo = hi = Fraction(0)
+        for c, r in terms:
+            if r == 1:
+                lo += c
+                hi += c
+                continue
+            root = math.isqrt(r * scale * scale)
+            ends = (c * Fraction(root, scale), c * Fraction(root + 1, scale))
+            lo += min(ends)
+            hi += max(ends)
+        out = {_fraction_round(v, digits) for v in (lo, hi)}
+        if len(out) == 1:
+            return out.pop()
+        guard *= 2
+
+
+def _fraction_round(v, digits):
+    q = 10 ** digits
+    t = (v.numerator * q * 2 + v.denominator) // (2 * v.denominator)  # round half up
+    sign = "-" if t < 0 else ""
+    whole, frac = divmod(abs(t), q)
+    return f"{sign}{whole}.{frac:0{digits}d}" if digits else f"{sign}{whole}"
+
+
 class _FractionQuad:
     """a + b*sqrt(rad) on two Fractions: the storage QuadNum had before it
     moved to four ints, kept as its oracle."""
@@ -504,7 +535,7 @@ class _FractionQuad:
         return f"QuadNum({self.a!r}, {self.b!r}, {self.rad})"
 
     def decimal(self, digits=6):
-        return quadfield._decimal(((self.a, 1), (self.b, self.rad)), digits)
+        return _fraction_decimal(((self.a, 1), (self.b, self.rad)), digits)
 
     def to_json(self):
         return {"a": [self.a.numerator, self.a.denominator],
@@ -570,3 +601,116 @@ def test_int_storage_matches_the_fraction_oracle(a, b, r, c, e, r2, x, k):
         assert hash(new) == hash(old) == hash(old.a) and new == old.a and new.to_fraction() == old.a
     else:
         assert hash(new) == hash(QuadNum(old.a, old.b, old.rad))
+
+
+# -- the Fraction-coefficient RadicalSum as an oracle ---------------------------
+
+
+class _FractionRadicalSum:
+    """Sum of c*sqrt(r) on Fraction coefficients: the storage RadicalSum had
+    before it moved to int numerators over one denominator, kept as its
+    oracle."""
+
+    def __init__(self, terms=()):
+        acc = {}
+        for coef, rad in terms:
+            q = _FractionQuad(0, coef, rad)
+            for r, c in ((1, q.a), (q.rad, q.b)):
+                acc[r] = acc.get(r, 0) + c
+        self.terms = tuple(sorted((r, Fraction(c)) for r, c in acc.items() if c))
+
+    def __add__(self, other):
+        return _FractionRadicalSum([(c, r) for r, c in self.terms + other.terms])
+
+    def __mul__(self, scalar):
+        return _FractionRadicalSum([(c * scalar, r) for r, c in self.terms])
+
+    def sign(self):
+        irr = [(r, c) for r, c in self.terms if r != 1]
+        rat = next((c for r, c in self.terms if r == 1), Fraction(0))
+        if not irr:
+            return (rat > 0) - (rat < 0)
+        if len(irr) == 1:
+            return _FractionQuad(rat, irr[0][1], irr[0][0]).sign()
+        if len(irr) > 2:
+            raise MixedRadicandError
+        (n1, c1), (n2, c2) = irr
+        u = _FractionQuad(rat, c1, n1)
+        t = (u * u - c2 * c2 * n2).sign()
+        if c2 > 0:
+            return 1 if u.sign() >= 0 else -t
+        return -1 if u.sign() <= 0 else t
+
+    def __str__(self):
+        parts = []
+        for r, c in self.terms:
+            piece = str(c) if r == 1 else str(_FractionQuad(0, c, r))
+            parts.append(piece if not parts or piece.startswith("-") else "+" + piece)
+        return "".join(parts) or "0"
+
+    def decimal(self, digits):
+        return _fraction_decimal([(c, r) for r, c in self.terms], digits)
+
+    def to_json(self):
+        return {"terms": [[c.numerator, c.denominator, r] for r, c in self.terms]}
+
+
+def _sum_view(v):
+    try:
+        sign = v.sign()
+    except MixedRadicandError:
+        sign = None
+    return v.terms, str(v), v.to_json(), sign
+
+
+radical_terms = st.lists(st.tuples(rationals, radicands), max_size=5)
+digit_counts = st.integers(0, 15)
+
+
+@given(radical_terms, radical_terms, rationals, digit_counts)
+def test_int_radical_sums_match_the_fraction_oracle(xs, ys, c, digits):
+    x, y, xo, yo = RadicalSum(xs), RadicalSum(ys), _FractionRadicalSum(xs), _FractionRadicalSum(ys)
+    for new, old in ((x, xo), (x + y, xo + yo), (x * c, xo * c), (x - y, xo + yo * -1)):
+        assert _sum_view(new) == _sum_view(old)
+        assert new.decimal(digits) == old.decimal(digits)
+        assert RadicalSum.from_json(new.to_json()) == new
+    assert all(type(coef) is Fraction for _, coef in x.terms)
+
+
+@given(rationals, rationals, radicands, digit_counts)
+def test_int_quad_decimals_match_the_fraction_renderer(a, b, r, digits):
+    new, old = QuadNum(a, b, r), _FractionQuad(a, b, r)
+    assert new.decimal(digits) == old.decimal(digits) == _fraction_decimal(((old.a, 1), (old.b, old.rad)), digits)
+    assert (str(new), new.to_json()) == (str(old), old.to_json())
+    s, so = RadicalSum.from_quad(new), _FractionRadicalSum([(old.a, 1), (old.b, old.rad)])
+    assert _sum_view(s) == _sum_view(so) and s.decimal(digits) == so.decimal(digits)
+
+
+@given(st.integers(-10**12, 10**12), digit_counts, st.integers(0, 3))
+def test_rational_sums_on_a_rounding_half_round_up(m, digits, extra):
+    # (2m+1)/2 units of the last digit sits exactly on a half, however the
+    # value is split into rational terms; half up rounds it to m+1 units
+    half = Fraction(2 * m + 1, 2 * 10 ** digits)
+    parts = [(half / 2, 1), (half / 2, 1)] if extra else [(half, 1)]
+    value = RadicalSum(parts + [(extra, 4)] if extra else parts) - extra * 2
+    expect = _fraction_round(half, digits)
+    assert value.decimal(digits) == expect == _FractionRadicalSum([(half, 1)]).decimal(digits)
+    assert QuadNum(half).decimal(digits) == expect
+    units = m + 1
+    assert expect == ("-" if units < 0 else "") + (
+        f"{abs(units) // 10 ** digits}.{abs(units) % 10 ** digits:0{digits}d}" if digits else str(abs(units)))
+
+
+def test_radical_sums_built_by_different_routes_are_equal():
+    a, b = RadicalSum([(1, 2), (1, 8)]), RadicalSum([(3, 2)])
+    assert a == b and hash(a) == hash(b) and a.terms == b.terms == ((2, F(3)),)
+    assert RadicalSum([(F(1, 2), 1), (F(1, 2), 1)]) == RadicalSum([(1, 1)]) == RadicalSum([(1, 9), (-2, 1)])
+    assert hash(RadicalSum([(2, 3), (-2, 3)])) == hash(RadicalSum())
+
+
+@given(radical_terms, radical_terms)
+def test_radical_sums_are_canonical_across_routes(xs, ys):
+    x, y = RadicalSum(xs), RadicalSum(ys)
+    for same in ((x * F(1, 3)) * 3, x + y - y, (x - y) + y, x * F(-2, 7) * F(-7, 2), x + 0, x + RadicalSum()):
+        assert same == x and hash(same) == hash(x) and same.terms == x.terms
+        assert same.to_json() == x.to_json() and str(same) == str(x)
