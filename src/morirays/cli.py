@@ -41,7 +41,8 @@ class UsageError(Exception):
 
 
 # Python renders no int of more than 4300 digits as a string (the default of
-# sys.set_int_max_str_digits), so decimal displays stop there.
+# sys.set_int_max_str_digits), so decimal displays stop there, or at the
+# interpreter's limit when that is lower.
 MAX_DIGITS = 4300
 
 
@@ -69,8 +70,11 @@ def _deliver(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise UsageError(f"cannot write --out {out!r}: {e.strerror or e}") from None
 
 
 def _json_text(obj) -> str:
@@ -399,21 +403,27 @@ def cmd_pair(args) -> int:
 # -- entry point ---------------------------------------------------------------------
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing never mutates it."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser by name."""
     p = argparse.ArgumentParser(
         prog="morirays",
         description="Exact divisor-class calculus on blowups of the plane.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
 
     def common(sp, digits_default=10):
         sp.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
         sp.add_argument("--out", help="write output to this path (MORIRAYS_OUTDIR prefixes relative paths)")
         sp.add_argument("--digits", type=int, default=digits_default, help="decimal display digits")
 
-    sp = sub.add_parser("matrix", help="print a generator or composite matrix")
+    sp = commands["matrix"] = sub.add_parser("matrix", help="print a generator or composite matrix")
     sp.add_argument("--kind", required=True, choices=("Q", "S", "G", "B", "J", "C", "JS", "CG"))
     sp.add_argument("--n", type=int, help="family index for J, C, JS, CG")
     sp.add_argument("--check-homaloidal", action="store_true",
@@ -421,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=cmd_matrix)
 
-    sp = sub.add_parser("orbit", help="iterate a shape matrix on a seed")
+    sp = commands["orbit"] = sub.add_parser("orbit", help="iterate a shape matrix on a seed")
     sp.add_argument("--family", required=True, help="odd or even")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True, help="largest k to print")
@@ -429,36 +439,54 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=cmd_orbit)
 
-    sp = sub.add_parser("eigenray", help="limit ray of a family, with spectral data")
+    sp = commands["eigenray"] = sub.add_parser("eigenray", help="limit ray of a family, with spectral data")
     sp.add_argument("--family", required=True,
                     help="odd, even, even_plus, odd_plus, sq4, sq2 (or W_odd, Wplus_sq2, ...)")
     sp.add_argument("--n", type=int, required=True)
     common(sp)
     sp.set_defaults(func=cmd_eigenray)
 
-    sp = sub.add_parser("verify", help="good-ray certificates plus the De Fernex sign sweep")
+    sp = commands["verify"] = sub.add_parser("verify", help="good-ray certificates plus the De Fernex sign sweep")
     sp.add_argument("--family", required=True, help="even, odd, sq4, sq2 (even_plus/odd_plus alias the first two)")
     sp.add_argument("--n", required=True, help="range A..B or single N")
     sp.add_argument("--k", default="1..6", help="range A..B or single K (default 1..6)")
     common(sp)
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("pair", help="intersect a named ray with K, F, or itself")
+    sp = commands["pair"] = sub.add_parser("pair", help="intersect a named ray with K, F, or itself")
     sp.add_argument("--ray", required=True, help="NAME:n, e.g. Wplus_sq2:1 or odd:2")
     sp.add_argument("--with", dest="with_", required=True, choices=("K", "F", "self"))
     common(sp)
     sp.set_defaults(func=cmd_pair)
-    return p
+    return p, commands
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`.  An argv that starts with a
+    subcommand goes to that subcommand's parser alone, which is all the
+    top-level pass would do with it; any other argv, and one the subcommand
+    leaves arguments over from, takes the top-level pass, so help, usage
+    errors and their exit codes are argparse's own."""
+    parser, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         if args.digits < 0:
             raise UsageError(f"--digits must be >= 0, got {args.digits}")
-        if args.digits > MAX_DIGITS:
-            raise UsageError(f"--digits must be <= {MAX_DIGITS}, got {args.digits}")
+        # 0 means no limit; Python before 3.10.7 has no limit to read
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        bound = min(MAX_DIGITS, limit) if limit else MAX_DIGITS
+        if args.digits > bound:
+            raise UsageError(f"--digits must be <= {bound}, got {args.digits}")
         return args.func(args)
     except (UsageError, ValueError, SpectrumError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)

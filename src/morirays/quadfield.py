@@ -107,8 +107,10 @@ class QuadNum:
     only place a radicand is factored, and it passes the trivial radicands 0
     and 1 through without factoring.  Every other result comes from `_build`
     on the operands' radicand, which is already squarefree, so building only
-    divides out the content.  `.a` and `.b` read the rational parts as
-    Fractions.
+    divides out the content.  An operand of exact type int goes straight
+    into `_build` in `+`, `-`, `*` and the comparisons; any other operand,
+    bool included, is coerced to a QuadNum first.  `.a` and `.b` read the
+    rational parts as Fractions.
     """
 
     __slots__ = ("_a", "_b", "_den", "rad")
@@ -193,6 +195,8 @@ class QuadNum:
         raise MixedRadicandError(f"radicands {self.rad} and {other.rad} are incompatible")
 
     def __add__(self, other: QuadLike) -> "QuadNum":
+        if type(other) is int:
+            return _build(self._a + other * self._den, self._b, self._den, self.rad)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -204,6 +208,8 @@ class QuadNum:
     __radd__ = __add__
 
     def __sub__(self, other: QuadLike) -> "QuadNum":
+        if type(other) is int:
+            return _build(self._a - other * self._den, self._b, self._den, self.rad)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -219,6 +225,8 @@ class QuadNum:
         return _build(-self._a, -self._b, self._den, self.rad)
 
     def __mul__(self, other: QuadLike) -> "QuadNum":
+        if type(other) is int:
+            return _build(self._a * other, self._b * other, self._den, self.rad)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -281,6 +289,8 @@ class QuadNum:
         return hash(self._a) if self._den == 1 else hash(Fraction(self._a, self._den))
 
     def _cmp(self, other: QuadLike) -> int:
+        if type(other) is int:
+            return _sign(self._a - other * self._den, self._b, self.rad)
         o = self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare QuadNum with {type(other).__name__}")

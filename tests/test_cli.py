@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, formats, determinism, round-trips."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import time
 import pytest
 
 from morirays import CharMatrix, DivisorClass, MultiplicityProfile, RadicalSum, Ray, dynamics, families, verify
-from morirays.cli import build_parser, main
+from morirays.cli import _parse, build_parser, main
 from morirays.dynamics import char_poly
 
 
@@ -354,3 +355,82 @@ def test_certificate_and_pairing_runs_build_no_fraction(capsys, monkeypatch):
                     code, out, _ = run(capsys, "pair", "--ray", f"{family.tag}:{n}", "--with", with_, "--format", fmt)
                     assert code == 0 and out
     assert built == []
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "x.json")
+    code, out, err = run(capsys, "pair", "--ray", "odd:2", "--with", "K", "--out", missing)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --out {missing!r}: No such file or directory\n"
+    code, out, err = run(capsys, "orbit", "--family", "odd", "--n", "1", "--k", "1", "--out", str(tmp_path))
+    assert (code, out) == (2, "") and err.startswith("error: cannot write --out ")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int string limit before Python 3.10.7")
+def test_digits_bound_follows_a_lower_interpreter_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        refused = run(capsys, "pair", "--ray", "odd:2", "--with", "F", "--digits", "1000")
+        code, out, err = run(capsys, "pair", "--ray", "odd:2", "--with", "F", "--digits", "640")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert refused == (2, "", "error: --digits must be <= 640, got 1000\n")
+    assert (code, err) == (0, "") and len(out.split("~ ")[1].split(" ")[0].split(".")[1]) == 640
+
+
+def test_subcommand_argv_makes_no_top_level_pass(capsys, monkeypatch):
+    progs = []  # the prog of every parser that makes a parse_known_args pass
+    original = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, args=None, namespace=None):
+        progs.append(self.prog)
+        return original(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert run(capsys, "pair", "--ray", "odd:2", "--with", "K")[0] == 0
+    assert run(capsys, "verify", "--family", "even", "--n", "2", "--k", "1")[0] == 0
+    assert progs == ["morirays pair", "morirays verify"]
+    # help, an unknown command and leftover arguments take the top-level pass
+    for argv, code in ((["-h"], 0), (["bogus"], 2), (["pair", "--ray", "odd:2", "--with", "K", "extra"], 2)):
+        progs.clear()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code and "morirays" in progs
+    capsys.readouterr()
+
+
+PARSE_CASES = [
+    [], ["-h"], ["--help"], ["bogus"], ["bogus", "--ray", "odd:2"], ["pai", "--ray", "odd:2", "--with", "K"],
+    ["PAIR"], ["-x", "pair"], ["-h", "pair"], ["--", "pair", "--ray", "odd:2", "--with", "K"],
+    ["pair", "-h"], ["pair", "--help"], ["pair", "--ray", "odd:2", "--with", "K"],
+    ["pair", "--ray", "odd:2", "--with", "K", "extra"], ["pair", "extra", "--ray", "odd:2", "--with", "K"],
+    ["pair", "--ra", "odd:2", "--wi", "K"], ["pair", "--ray=odd:2", "--with=F", "--form=csv"],
+    ["pair", "--", "--ray", "odd:2", "--with", "K"], ["pair", "--ray", "odd:2", "--with", "K", "--"],
+    ["pair", "--ray", "odd:2", "--", "--with", "K"], ["pair", "--ray", "odd:2", "--with", "X"],
+    ["pair", "--ray", "odd:2"], ["pair", "--ray", "odd:2", "--with"],
+    ["pair", "--ray", "odd:2", "--with", "K", "--digits", "x"],
+    ["pair", "--ray", "odd:2", "--with", "K", "--digits=-3", "--format", "json"],
+    ["pair", "--ray", "odd:2", "--with", "K", "-h"], ["pair", "--ray", "odd:2", "--with", "K", "--bogus"],
+    ["pair", "--ray", "odd:2", "--ray", "even:3", "--with", "self", "--out", "x.json"],
+    ["verify", "--family", "even", "--n", "1..3"], ["verify", "-h"], ["verify"], ["verify", "--n", "2"],
+    ["verify", "--family", "odd", "--n", "2", "--k", "1", "--format", "json", "--out", "x.json"],
+    ["matrix", "--kind", "Q", "--check-homaloidal"], ["matrix", "--kind", "Z"],
+    ["matrix", "--ki", "J", "--n", "2", "--check"], ["matrix", "--kind", "J", "--n", "x"],
+    ["orbit", "--family", "odd", "--n", "2", "--k", "3", "--seed", "1,1,0,0"], ["orbit", "--n", "x"],
+    ["eigenray", "--family", "sq2", "--n", "3", "--digits", "0"], ["eigenray", "extra", "--family", "odd", "--n", "1"],
+]
+
+
+def _parse_outcome(capsys, parse, argv):
+    try:
+        result = ("namespace", vars(parse(list(argv))))
+    except SystemExit as e:
+        result = ("exit", e.code)
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "<empty>")
+def test_dispatch_parses_like_the_top_level_parser(capsys, argv):
+    assert _parse_outcome(capsys, _parse, argv) == _parse_outcome(capsys, build_parser().parse_args, argv)

@@ -158,6 +158,40 @@ def test_rational_interop():
         QuadNum(0, 1, 2).to_fraction()
 
 
+@pytest.mark.parametrize("q", [QuadNum(F(3, 2), F(-5, 4), 7), QuadNum(F(-2, 3)), QuadNum(0)], ids=str)
+def test_bool_operands_act_as_the_ints_they_equal(q):
+    # an exact int goes straight into the builder; a bool takes the coercion
+    # path and must land on the same canonical value
+    for t, i in ((True, 1), (False, 0)):
+        for op in (lambda p, x: p + x, lambda p, x: x + p, lambda p, x: p - x, lambda p, x: x - p,
+                   lambda p, x: p * x, lambda p, x: x * p, lambda p, x: p < x, lambda p, x: p >= x):
+            by_bool, by_int = op(q, t), op(q, i)
+            assert by_bool == by_int and type(by_bool) is type(by_int)
+            if isinstance(by_int, QuadNum):
+                assert (by_bool.ints, by_bool.rad) == (by_int.ints, by_int.rad)
+    assert q * True == q * 1 and q + False == q + 0
+
+
+def test_int_operands_skip_the_coercion(monkeypatch):
+    coerced = []
+    original = QuadNum._coerce
+
+    def counting(self, other):
+        coerced.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(QuadNum, "_coerce", counting)
+    q = QuadNum(F(1, 2), F(3, 2), 3)  # (1 + 3*sqrt(3))/2, about 3.098
+    assert (q + 2, 2 + q, q - 2, 2 - q, q * 2, 2 * q) == (
+        QuadNum(F(5, 2), F(3, 2), 3), QuadNum(F(5, 2), F(3, 2), 3), QuadNum(F(-3, 2), F(3, 2), 3),
+        QuadNum(F(3, 2), F(-3, 2), 3), QuadNum(1, 3, 3), QuadNum(1, 3, 3))
+    assert q > 3 and q < 4 and 4 > q and not q <= 3 and not q >= 4
+    half = QuadNum(F(1, 2))
+    assert half < 1 and half > 0 and not half >= 1 and half + 1 == F(3, 2) and half * 4 == 2
+    assert coerced == []
+    assert q + F(1, 2) == q + True - F(1, 2) and coerced == [F(1, 2), True, F(1, 2)]
+
+
 def test_mixed_radicands_rejected():
     with pytest.raises(MixedRadicandError):
         QuadNum(0, 1, 2) + QuadNum(0, 1, 3)
