@@ -33,6 +33,7 @@ from .cremona import (
     sturm_map,
 )
 from .dynamics import Ray, SpectrumError, certify_convergence, eigen, iterate
+from .lattice import _quad
 from .quadfield import MixedRadicandError
 
 
@@ -93,18 +94,24 @@ _NO_ENTRY = object()  # stands before the first entry of a list
 
 
 def _write_json(obj, nl: str, parts: list[str]) -> None:
-    """Append the text of obj to parts; nl is a newline and the indent of obj."""
-    if isinstance(obj, str):
-        parts.append(encode_basestring_ascii(obj))
-    elif obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, int):
+    """Append the text of obj to parts; nl is a newline and the indent of obj.
+
+    The exact types int, str, dict, list and tuple are dispatched first; any
+    other object takes the isinstance chain, so None, bool and a subclass of
+    a JSON type are written as json.dumps writes them."""
+    t = type(obj)
+    if t is not int and t is not str and t is not dict and t is not list and t is not tuple:
+        if obj is None or obj is True or obj is False:
+            parts.append("null" if obj is None else "true" if obj else "false")
+            return
+        t = next((k for k in (str, int, dict, list, tuple) if isinstance(obj, k)), None)
+        if t is None:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if t is int:
         parts.append(int.__repr__(obj))
-    elif isinstance(obj, dict):
+    elif t is str:
+        parts.append(encode_basestring_ascii(obj))
+    elif t is dict:
         if not obj:
             parts.append("{}")
             return
@@ -117,10 +124,12 @@ def _write_json(obj, nl: str, parts: list[str]) -> None:
             _write_json(obj[key], inner, parts)
             sep = "," + inner
         parts.append(nl + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
+    elif not obj:
+        parts.append("[]")
+    elif type(obj[0]) is int and set(map(type, obj)) == {int}:
+        inner = nl + "  "
+        parts.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
+    else:
         inner = nl + "  "
         sep = "[" + inner
         prev, text, start = _NO_ENTRY, None, 0
@@ -137,8 +146,6 @@ def _write_json(obj, nl: str, parts: list[str]) -> None:
                 prev, text = item, None
             sep = "," + inner
         parts.append(nl + "]")
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -283,7 +290,7 @@ def cmd_eigenray(args) -> int:
     elif args.format == "csv":
         rows = [["degree", str(display.degree), ""]]
         for i, (v, count) in enumerate(display.blocks):
-            rows.append([f"block{i + 1}x{count}", str(v), v.decimal(args.digits)])
+            rows.append([f"block{i + 1}x{count}", str(v), _quad(v).decimal(args.digits)])
         text = _csv_text(["entry", "exact", "decimal (display only)"], rows)
     else:
         lines = [f"{tag} limit ray on {display.s} points", f"  display:   {display.pretty()}"]

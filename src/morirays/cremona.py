@@ -58,12 +58,6 @@ class _IntMatrix:
     def trace(self) -> int:
         return sum(r[i] for i, r in enumerate(self.rows))
 
-    def shift(self, c: int):
-        """M + c*I, a matrix of the same kind."""
-        return self._with_rows(
-            [[x + c if i == j else x for j, x in enumerate(r)] for i, r in enumerate(self.rows)]
-        )
-
     def __matmul__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -139,7 +133,7 @@ class CharMatrix(_IntMatrix):
             if sum(self.rows[i][j] * k[j] for j in range(n)) != k[i]:
                 raise ValueError(f"canonical vector moved at row {i}")
         net = self.homaloidal_net()
-        d = net.degree.to_int()
+        d = net.degree
         if d < 1:
             raise ValueError(f"homaloidal degree {d} < 1")
         if net.self_intersection() != 1 or net.canonical_pairing() != -3:
@@ -402,8 +396,7 @@ def cremona_reduce(x: DivisorClass, max_steps: int = 100000) -> ReductionResult:
     """
     if not x.is_integral:
         raise ValueError("reduction needs integer degree and multiplicities")
-    d = x.degree.to_int()
-    mults = [m.to_int() for m in x.mults]
+    d, mults = x.degree, list(x.mults)
     steps: list[tuple[int, int, int]] = []
     if x.s < 3:
         return ReductionResult(x, x, (), True)

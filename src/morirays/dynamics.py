@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .cremona import ShapeMatrix
-from .lattice import DivisorClass, MultiplicityProfile
+from .lattice import DivisorClass, MultiplicityProfile, _ints, _is_rational, _quad
 from .quadfield import QuadNum, _build, split_square
 
 
@@ -28,12 +29,16 @@ class SpectrumError(ValueError):
 
 
 def char_poly(m: ShapeMatrix) -> tuple[int, ...]:
-    """Coefficients of det(xI - M), highest power first (monic, integer)."""
+    """Coefficients of det(xI - M), highest power first (monic, integer):
+    Faddeev-LeVerrier, M_i = M (M_{i-1} + c_{i-1} I) and c_i = -tr(M_i)/i,
+    on the integer rows."""
     coeffs = [1, -m.trace()]
-    power = m
+    power = m.rows
     for i in range(2, m.size + 1):
-        power = m @ power.shift(coeffs[-1])
-        coeffs.append(-power.trace() // i)  # exact: i divides the trace
+        c = coeffs[-1]
+        cols = [[x + c if j == k else x for j, x in enumerate(col)] for k, col in enumerate(zip(*power))]
+        power = [[sum(map(mul, row, col)) for col in cols] for row in m.rows]
+        coeffs.append(-sum(r[j] for j, r in enumerate(power)) // i)  # exact: i divides the trace
     return tuple(coeffs)
 
 
@@ -230,7 +235,12 @@ def eigen(m: ShapeMatrix) -> EigenDecomposition:
 
     eigenvalues = []
     for lam, alg in spectrum:
-        vecs = tuple(_kernel(_shifted(m, lam), rad))
+        if lam[1] < 0:
+            # the conjugate of the eigenvalue before it: elimination commutes
+            # with conjugation and keeps its pivots, so the kernel is conjugate
+            vecs = tuple(tuple(q.conjugate() for q in v) for v in eigenvalues[-1].vectors)
+        else:
+            vecs = tuple(_kernel(_shifted(m, lam), rad))
         eigenvalues.append(Eigenvalue(_build(*lam, rad), alg, len(vecs), vecs))
 
     dominant = None
@@ -273,8 +283,8 @@ class Ray:
         lead = next((c for c in (p.degree,) + p.values if c), None)
         if lead is None:
             raise ValueError("zero class spans no ray")
-        p = p.scale(abs(lead).inverse())
-        denom = lcm(*(c.ints[2] for c in (p.degree,) + p.values))
+        p = p.scale(_quad(abs(lead)).inverse())
+        denom = lcm(*(_ints(c)[2] for c in (p.degree,) + p.values))
         object.__setattr__(self, "rep", p.scale(denom).canonical())
 
     def __setattr__(self, name, value):
@@ -295,11 +305,9 @@ class Ray:
     def irrationality_witness(self) -> tuple[int, QuadNum] | None:
         """(coordinate index, value) of the first irrational coordinate; the
         index is 0 for the degree, i >= 1 for E_i.  None for rational rays."""
-        if not self.rep.degree.is_rational:
-            return 0, self.rep.degree
-        point = 1
-        for v, c in self.rep.blocks:
-            if not v.is_rational:
+        point = 0
+        for v, c in ((self.rep.degree, 1),) + self.rep.blocks:
+            if not _is_rational(v):
                 return point, v
             point += c
         return None

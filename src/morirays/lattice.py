@@ -1,7 +1,9 @@
 """Divisor classes on blowups of the plane at s points.
 
 A class d*H - m_1*E_1 - ... - m_s*E_s is stored as (degree d, multiplicities
-m_i) with exact QuadNum entries.  The intersection form is diag(1, -1, ..., -1)
+m_i).  Each coordinate is a plain int when it is an integer and a QuadNum
+otherwise, so integral classes run on ints end to end; the pairings still
+return a QuadNum.  The intersection form is diag(1, -1, ..., -1)
 in the basis (H, E_1, ..., E_s).  Point indices are 1-based throughout, matching
 the E_1..E_s labels.
 """
@@ -10,29 +12,57 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .quadfield import QuadNum, RadicalSum, _build, _root_pieces
 
-Coord = "int | Fraction | QuadNum"
+Coord = "int | QuadNum"
 
 
 class ShapeError(ValueError):
     """Multiplicity layout does not admit the requested operation."""
 
 
-def _quad(x) -> QuadNum:
-    if isinstance(x, QuadNum):
+def _coord(x) -> Coord:
+    """The stored form of a coordinate: an int for an integer value, a
+    QuadNum for any other."""
+    if type(x) is int:
         return x
+    if isinstance(x, QuadNum):
+        return x.to_int() if x.is_integer else x
     if isinstance(x, (int, Fraction)):
-        return _build(x.numerator, 0, x.denominator, 1)
+        n, d = x.numerator, x.denominator  # ints, for a bool too
+        return n if d == 1 else _build(n, 0, d, 1)
     raise TypeError(f"expected coordinate, got {type(x).__name__}")
+
+
+def _quad(x: Coord) -> QuadNum:
+    """A coordinate or an int pairing as a QuadNum."""
+    return _build(x, 0, 1, 1) if type(x) is int else x
+
+
+def _is_rational(x: Coord) -> bool:
+    return type(x) is int or x.is_rational
+
+
+def _ints(x: Coord) -> tuple[int, int, int]:
+    """(a, b, den) of a coordinate (a + b*sqrt(rad))/den."""
+    return (x, 0, 1) if type(x) is int else x.ints
+
+
+def _div(x: Coord, r: int) -> Coord:
+    """x / r exactly: an int when r divides an int x, else a QuadNum."""
+    if type(x) is not int:
+        return x / r
+    q, rem = divmod(x, r)
+    return _build(x, 0, r, 1) if rem else q
 
 
 _BARE = re.compile(r"\d+$")  # bare nonnegative integer rendering needs no parens
 
 
-def _block_str(value: QuadNum, count: int) -> str:
+def _block_str(value: Coord, count: int) -> str:
     vs = str(value)
     if count == 1:
         return vs
@@ -41,27 +71,27 @@ def _block_str(value: QuadNum, count: int) -> str:
     return f"{vs}^{count}"
 
 
-def _coord_json(q: QuadNum):
+def _coord_json(q: Coord):
+    if type(q) is int:
+        return q
     a, b, den = q.ints
-    if b:
-        return q.to_json()
-    return a if den == 1 else [a, den]
+    return q.to_json() if b else [a, den]
 
 
-def _coord_from_json(data) -> QuadNum:
+def _coord_from_json(data) -> Coord:
     if isinstance(data, int):
-        return QuadNum(data)
+        return data
     if isinstance(data, list):
         return QuadNum(Fraction(data[0], data[1]))
     return QuadNum.from_json(data)
 
 
-def _defernex_value(degree: QuadNum, s: int, pieces: list) -> RadicalSum:
+def _defernex_value(degree: Coord, s: int, pieces: list) -> RadicalSum:
     """degree*sqrt(s-1) plus the multiplicity side, given as RadicalSum
     pieces (rad, num, den) on squarefree radicands: only s-1 and
     degree.rad*(s-1) are factored."""
-    a, b, den = degree.ints
-    for num, rad in ((a, s - 1), (b, degree.rad * (s - 1))):
+    a, b, den = _ints(degree)
+    for num, rad in ((a, s - 1), (b, b and degree.rad * (s - 1))):
         if num:
             pieces += _root_pieces(num, rad, den)
     return RadicalSum._from_pieces(pieces)
@@ -73,8 +103,8 @@ class DivisorClass:
     __slots__ = ("degree", "mults")
 
     def __init__(self, degree, mults: Iterable):
-        object.__setattr__(self, "degree", _quad(degree))
-        object.__setattr__(self, "mults", tuple(_quad(m) for m in mults))
+        object.__setattr__(self, "degree", _coord(degree))
+        object.__setattr__(self, "mults", tuple(map(_coord, mults)))
 
     def __setattr__(self, name, value):
         raise AttributeError("DivisorClass is immutable")
@@ -83,43 +113,37 @@ class DivisorClass:
     def s(self) -> int:
         return len(self.mults)
 
-    def coordinates(self) -> tuple[QuadNum, ...]:
+    def coordinates(self) -> tuple[Coord, ...]:
         return (self.degree,) + self.mults
 
     @property
     def is_rational(self) -> bool:
-        return all(c.is_rational for c in self.coordinates())
+        return all(map(_is_rational, self.coordinates()))
 
     @property
     def is_integral(self) -> bool:
-        return all(c.is_integer for c in self.coordinates())
+        return all(type(c) is int for c in self.coordinates())
 
     # -- intersection theory ------------------------------------------------
 
     def intersect(self, other: "DivisorClass") -> QuadNum:
         if self.s != other.s:
             raise ValueError(f"point counts differ: {self.s} vs {other.s}")
-        out = self.degree * other.degree
-        for m, m2 in zip(self.mults, other.mults):
-            out = out - m * m2
-        return out
+        return _quad(self.degree * other.degree - sum(map(mul, self.mults, other.mults)))
 
     def self_intersection(self) -> QuadNum:
         return self.intersect(self)
 
     def canonical_pairing(self) -> QuadNum:
         """Pairing with K_s = -3H + sum E_i, i.e. sum(m_i) - 3d."""
-        out = -3 * self.degree
-        for m in self.mults:
-            out = out + m
-        return out
+        return _quad(sum(self.mults) - 3 * self.degree)
 
     def defernex_value(self) -> RadicalSum:
         """Pairing with F_s = sqrt(s-1)H - sum E_i, as an exact radical sum."""
         pieces = []
         for m in self.mults:
-            a, b, den = m.ints
-            pieces += ((1, -a, den), (m.rad, -b, den))
+            a, b, den = _ints(m)
+            pieces += ((1, -a, den), (b and m.rad, -b, den))
         return _defernex_value(self.degree, self.s, pieces)
 
     def defernex_sign(self) -> int:
@@ -142,7 +166,7 @@ class DivisorClass:
         return self + (-1) * other
 
     def __mul__(self, scalar) -> "DivisorClass":
-        c = _quad(scalar)
+        c = _coord(scalar)
         return DivisorClass(self.degree * c, [m * c for m in self.mults])
 
     __rmul__ = __mul__
@@ -167,7 +191,7 @@ class DivisorClass:
             raise IndexError(f"point {point} out of range 1..{self.s}")
         if r < 1:
             raise ValueError(f"uncollision order r={r} must be >= 1")
-        m = self.mults[point - 1] / r
+        m = _div(self.mults[point - 1], r)
         return DivisorClass(
             self.degree,
             self.mults[: point - 1] + (m,) * (r * r) + self.mults[point:],
@@ -229,10 +253,10 @@ class MultiplicityProfile:
     __slots__ = ("degree", "blocks")
 
     def __init__(self, degree, blocks: Iterable[tuple]):
-        blocks = tuple((_quad(v), int(c)) for v, c in blocks)
+        blocks = tuple((_coord(v), int(c)) for v, c in blocks)
         if any(c < 1 for _, c in blocks):
             raise ValueError(f"block counts must be positive: {blocks}")
-        object.__setattr__(self, "degree", _quad(degree))
+        object.__setattr__(self, "degree", _coord(degree))
         object.__setattr__(self, "blocks", blocks)
 
     def __setattr__(self, name, value):
@@ -247,14 +271,19 @@ class MultiplicityProfile:
         return tuple(c for _, c in self.blocks)
 
     @property
-    def values(self) -> tuple[QuadNum, ...]:
+    def values(self) -> tuple[Coord, ...]:
         return tuple(v for v, _ in self.blocks)
 
     def expand(self) -> DivisorClass:
-        mults: list[QuadNum] = []
+        """The class on every point; the stored coordinates pass through
+        without being normalized again."""
+        mults: list[Coord] = []
         for v, c in self.blocks:
-            mults.extend([v] * c)
-        return DivisorClass(self.degree, mults)
+            mults += [v] * c
+        x = object.__new__(DivisorClass)
+        object.__setattr__(x, "degree", self.degree)
+        object.__setattr__(x, "mults", tuple(mults))
+        return x
 
     @classmethod
     def compress(cls, divisor: DivisorClass, counts: Sequence[int]) -> "MultiplicityProfile":
@@ -279,7 +308,7 @@ class MultiplicityProfile:
     def canonical(self) -> "MultiplicityProfile":
         """Merge adjacent equal-valued blocks: the one run-length encoding of
         the expanded class."""
-        blocks: list[tuple[QuadNum, int]] = []
+        blocks: list[tuple[Coord, int]] = []
         for v, c in self.blocks:
             if blocks and blocks[-1][0] == v:
                 blocks[-1] = (v, blocks[-1][1] + c)
@@ -302,10 +331,10 @@ class MultiplicityProfile:
             raise ValueError(f"uncollision order r={r} must be >= 1")
         i, off = self._locate(point)
         v, c = self.blocks[i]
-        mid: list[tuple[QuadNum, int]] = []
+        mid: list[tuple[Coord, int]] = []
         if off:
             mid.append((v, off))
-        mid.append((v / r, r * r))
+        mid.append((_div(v, r), r * r))
         if off + 1 < c:
             mid.append((v, c - off - 1))
         return MultiplicityProfile(self.degree, self.blocks[:i] + tuple(mid) + self.blocks[i + 1 :])
@@ -339,7 +368,7 @@ class MultiplicityProfile:
             take = self.blocks[j][1]
 
     def scale(self, scalar) -> "MultiplicityProfile":
-        c = _quad(scalar)
+        c = _coord(scalar)
         return MultiplicityProfile(self.degree * c, [(v * c, k) for v, k in self.blocks])
 
     __mul__ = scale
@@ -349,28 +378,20 @@ class MultiplicityProfile:
     def intersect(self, other: "MultiplicityProfile") -> QuadNum:
         if self.s != other.s or self.counts != other.counts:
             return self.expand().intersect(other.expand())
-        out = self.degree * other.degree
-        for (v, c), (w, _) in zip(self.blocks, other.blocks):
-            out = out - c * (v * w)
-        return out
+        rest = sum(c * (v * w) for (v, c), (w, _) in zip(self.blocks, other.blocks))
+        return _quad(self.degree * other.degree - rest)
 
     def self_intersection(self) -> QuadNum:
-        out = self.degree * self.degree
-        for v, c in self.blocks:
-            out = out - c * (v * v)
-        return out
+        return _quad(self.degree * self.degree - sum(c * (v * v) for v, c in self.blocks))
 
     def canonical_pairing(self) -> QuadNum:
-        out = -3 * self.degree
-        for v, c in self.blocks:
-            out = out + c * v
-        return out
+        return _quad(sum(c * v for v, c in self.blocks) - 3 * self.degree)
 
     def defernex_value(self) -> RadicalSum:
         pieces = []
         for v, c in self.blocks:
-            a, b, den = v.ints
-            pieces += ((1, -c * a, den), (v.rad, -c * b, den))
+            a, b, den = _ints(v)
+            pieces += ((1, -c * a, den), (b and v.rad, -c * b, den))
         return _defernex_value(self.degree, self.s, pieces)
 
     def defernex_sign(self) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import families
 from .cremona import ReductionResult, cremona_reduce, quadratic_map
 from .dynamics import ConvergenceCertificate, Ray, SpectrumError, certify_convergence, dominant_ray, eigen, iterate
-from .lattice import DivisorClass, MultiplicityProfile
+from .lattice import DivisorClass, MultiplicityProfile, _is_rational
 from .quadfield import QuadNum, RadicalSum, _ratio_str
 
 
@@ -96,8 +96,8 @@ def certify_pencil(x: DivisorClass) -> PencilCertificate:
     # based at (i, j, k) embeds that block at (0, i, j, k) and fixes every
     # other coordinate, so only the degree and three multiplicities change.
     q = quadratic_map((1, 2, 3), 3)
-    d = x.degree.to_int()
-    mults = [m.to_int() for m in x.mults]
+    # cremona_reduce refused any class that is not integral, so these are ints
+    d, mults = x.degree, list(x.mults)
     nonneg = d > 0 and all(m >= 0 for m in mults)
     s = len(mults)
     for t in red.steps:
@@ -113,7 +113,7 @@ def certify_pencil(x: DivisorClass) -> PencilCertificate:
         system=x,
         reduction=red,
         endpoint_is_line_pencil=red.is_line_pencil,
-        replay_ok=end.degree == d and end.s == s and all(m == w for m, w in zip(end.mults, mults)),
+        replay_ok=end.degree == d and end.mults == tuple(mults),
         nonnegative_throughout=nonneg,
     )
 
@@ -152,7 +152,7 @@ def emptiness_certificate(system: MultiplicityProfile, pencil: MultiplicityProfi
     """Certify emptiness of all multiples of `system`, the order-r split of
     the scaled pencil at its first point."""
     cert = certify_pencil(pencil.expand())
-    a = pencil.blocks[0][0].to_int()
+    a = pencil.blocks[0][0]  # an int: certify_pencil refuses a class that is not integral
     if r == 2:
         rule = "R2_PENCIL"
         ineqs = (
@@ -253,7 +253,7 @@ def verify_good(family: str, n: int, k: int) -> GoodRayCertificate:
               system == displayed),
         Check("self-intersection", "exact self-intersection is 0", system.self_intersection() == 0),
         Check("degree", f"degree {r}d = {r * d} > 0", r * d > 0),
-        Check("rational", "all entries are rational", all(v.is_rational for v, _ in system.blocks)),
+        Check("rational", "all entries are rational", all(map(_is_rational, system.values))),
         *(Check(*inv) for inv in parent.invariants(n, d, a, b, c)),
     )
     if r <= 3:

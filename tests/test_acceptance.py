@@ -246,7 +246,7 @@ def test_c10_property_suites(capsys):
         for r in range(2, 7):
             u = x.uncollide(point, r)
             assert u.self_intersection() == x.self_intersection()
-            assert u.canonical_pairing() - x.canonical_pairing() == (r * r - r) * (x.mults[point - 1] / r)
+            assert u.canonical_pairing() - x.canonical_pairing() == (r * r - r) * (Fraction(x.mults[point - 1]) / r)
             assert u.collide(point, r) == x
             assert u.is_rational == x.is_rational
 

@@ -174,7 +174,7 @@ def test_reduce_pencil_example():
     assert r.steps == ((1, 2, 3), (1, 4, 5), (6, 7, 8), (9, 10, 11), (1, 6, 7))
     assert r.is_line_pencil
     assert r.reduced.degree == 1
-    assert sorted(m.to_fraction() for m in r.reduced.mults) == [0] * 10 + [1]
+    assert sorted(int(m) for m in r.reduced.mults) == [0] * 10 + [1]
     assert r.replay()
 
 
@@ -292,7 +292,7 @@ def test_permutation_matrices_valid(order):
 
 def _reduce_by_sorting(x: DivisorClass) -> tuple:
     """The reduction steps with the three largest picked by a full sort."""
-    d, mults, steps = int(x.degree.to_fraction()), [int(m.to_fraction()) for m in x.mults], []
+    d, mults, steps = int(x.degree), [int(m) for m in x.mults], []
     while True:
         i, j, k = sorted(sorted(range(x.s), key=lambda i: (-mults[i], i))[:3])
         if d >= mults[i] + mults[j] + mults[k] or d <= 0:
@@ -346,7 +346,7 @@ def test_reduction_steps_match_the_sorting_reducer_on_tied_classes():
 
 def _reduce_by_scan(x: DivisorClass) -> tuple:
     """The reduction steps with the three largest picked by `_top_three`."""
-    d, mults, steps = x.degree.to_int(), [m.to_int() for m in x.mults], []
+    d, mults, steps = int(x.degree), [int(m) for m in x.mults], []
     while True:
         i, j, k = _top_three(mults)
         if d >= mults[i] + mults[j] + mults[k] or d <= 0:

@@ -349,6 +349,8 @@ def _assert_kernels_agree(m):
         for transpose in (False, True):
             ours = dynamics._kernel(dynamics._shifted(m, triple, transpose), lam.rad)
             assert ours == _field_kernel(_field_shifted(m, lam, transpose)), (m.rows, lam, transpose)
+            if not transpose:  # the stored vectors, a conjugate pair's included, are this kernel
+                assert e.vectors == tuple(ours), (m.rows, lam)
     return deltas
 
 
@@ -466,7 +468,7 @@ def test_ray_representative_is_primitive_and_scale_free(blocks, rad, scale):
     if not any((p.degree,) + p.values):
         return
     ray = Ray(p)
-    parts = [c.ints for c in (ray.rep.degree,) + ray.rep.values]
+    parts = [(QuadNum(c) if isinstance(c, int) else c).ints for c in (ray.rep.degree,) + ray.rep.values]
     assert all(den == 1 for _, _, den in parts)
     assert math.gcd(*(x for a, b, _ in parts for x in (a, b))) == 1
     assert Ray(p.scale(scale)) == ray == Ray(p.scale(QuadNum(scale, 1, rad) * QuadNum(scale, 1, rad)))

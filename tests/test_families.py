@@ -82,7 +82,7 @@ def test_pencil_recurrence(n):
     # (b, c) steps by an integer affine map even though (d, a) grow with radicals
     for k in range(1, 5):
         b0, c0 = pencil_profile(n, k - 1).values[1:], None
-        b0, c0 = b0[0].to_fraction(), pencil_profile(n, k - 1).values[2].to_fraction()
+        b0, c0 = Fraction(b0[0]), Fraction(pencil_profile(n, k - 1).values[2])
         b1 = (4 * n - 1) * b0 - 2 * c0 + 4
         c1 = 2 * n * b0 - c0 + 2
         p = pencil_profile(n, k)

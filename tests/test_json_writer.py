@@ -44,6 +44,23 @@ def test_writer_matches_json_dumps(obj):
     assert _json_text(obj) == reference(obj)
 
 
+ints = st.integers(min_value=-(10**40), max_value=10**40)
+int_lists = st.lists(ints, min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(int_lists, int_lists.map(tuple), st.lists(st.booleans(), min_size=1, max_size=6),
+                 st.lists(int_lists, min_size=1, max_size=4), st.lists(ints | st.booleans(), min_size=1, max_size=6)))
+def test_int_lists_match_json_dumps(obj):
+    assert _json_text(obj) == reference(obj)
+    assert _json_text({"a": obj, "b": [obj, obj]}) == reference({"a": obj, "b": [obj, obj]})
+
+
+@pytest.mark.parametrize("obj", [[0], (7, -8), [1, True], [True, 1], [False], [[1, 2], [1, 2]], [[3], []], [2**64, 0]])
+def test_int_list_cases(obj):
+    assert _json_text(obj) == reference(obj)
+
+
 def test_shared_objects_repeat_their_text():
     cell = {"b": [1, 2], "a": {"rad": 5}}
     row = [cell] * 3 + [[cell, cell]] + [cell]

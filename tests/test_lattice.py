@@ -205,7 +205,7 @@ def test_uncollision_conservation(x, r, data):
     assert y.degree == x.degree
     assert y.self_intersection() == x.self_intersection()
     grown = y.canonical_pairing() - x.canonical_pairing()
-    assert grown == (r * r - r) * (x.mults[point - 1] / r)
+    assert grown == (r * r - r) * (Fraction(x.mults[point - 1]) / r)
     assert y.collide(point, r) == x
 
 
@@ -232,3 +232,27 @@ def test_defernex_value_with_denominators_matches_the_term_by_term_sum(da, db, r
             expect = expect - v
     assert profile.defernex_value() == expect
     assert profile.expand().defernex_value() == expect
+
+
+def test_integral_coordinates_are_stored_as_int():
+    x = DivisorClass(QuadNum(3), [QuadNum(Fraction(4, 2)), Fraction(6, 3), QuadNum(5, 0, 7), True, -1])
+    y = DivisorClass(3, [2, 2, 5, 1, -1])
+    assert all(type(c) is int for c in x.coordinates())
+    assert x == y and hash(x) == hash(y) and hash(QuadNum(3)) == hash(3)
+    p = MultiplicityProfile(QuadNum(6, 0, 4), [(QuadNum(2), 2), (Fraction(3), 1)])
+    assert [type(c) for c in (p.degree, *p.values)] == [int, int, int]
+    assert p == MultiplicityProfile(6, [(2, 2), (3, 1)]) and hash(p) == hash(MultiplicityProfile(6, [(2, 2), (3, 1)]))
+    # a value that is not an integer stays a QuadNum, and becomes an int again once it is one
+    half = DivisorClass(1, [1, 0]).uncollide(1, 2)
+    assert half.mults[0] == QuadNum(Fraction(1, 2)) and type(half.mults[0]) is QuadNum
+    assert type(half.collide(1, 2).mults[0]) is int
+    assert type(DivisorClass(QuadNum(1, 1, 2), [1]).degree) is QuadNum
+
+
+def test_pairings_of_integral_classes_return_quadnum():
+    p = MultiplicityProfile(5, [(2, 2), (1, 1), (0, 1)])
+    x = p.expand()
+    values = (x.intersect(x), x.self_intersection(), x.canonical_pairing(),
+              p.intersect(p), p.self_intersection(), p.canonical_pairing())
+    assert all(type(v) is QuadNum for v in values)
+    assert values == (16, 16, -10, 16, 16, -10)

@@ -72,7 +72,7 @@ def test_uncollision_conservation_r2_to_r6():
             assert y.degree == x.degree
             assert y.self_intersection() == x.self_intersection()
             bump = y.canonical_pairing() - x.canonical_pairing()
-            assert bump == (r * r - r) * (x.mults[point - 1] / r)
+            assert bump == (r * r - r) * (Fraction(x.mults[point - 1]) / r)
 
 
 def test_collide_undoes_uncollide():

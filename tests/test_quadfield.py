@@ -243,7 +243,7 @@ def test_trivial_radicands_are_not_factored(monkeypatch):
     monkeypatch.setattr(quadfield, "split_square", counting)
     assert QuadNum(5) == QuadNum(5, 3, 0) == QuadNum(2, 3, 1) and QuadNum(F(1, 2)).a == F(1, 2)
     x = DivisorClass(1, [1, 0, 0])
-    assert is_line_pencil_up_to_permutation(x) and x.degree.rad == 1
+    assert is_line_pencil_up_to_permutation(x) and QuadNum(x.degree).rad == 1
     assert calls == []
     value = RadicalSum([(3, 2), (-1, 1), (F(1, 2), 3)])
     assert len(calls) == 2
@@ -594,6 +594,9 @@ def _outcome(f, *args):
 rationals = st.one_of(
     st.integers(-10**6, 10**6),
     st.integers(-10**30, 10**30),
+    # ints in the range of the fractions above, so an int operand can fall
+    # between a QuadNum's value a/den and its numerator a
+    st.integers(-1000, 1000),
     st.fractions(min_value=-1000, max_value=1000, max_denominator=60),
     st.just(0),
     st.just(Fraction(0)),
@@ -629,6 +632,9 @@ def test_int_storage_matches_the_fraction_oracle(a, b, r, c, e, r2, x, k):
     for q in (old.a.numerator, old.a.denominator, int(old.a), old.a,
               Fraction(old.a.numerator, old.a.denominator + 1)):
         assert (new == q) is (old == q) and (q == new) is (q == old)
+        # the order against an int takes its own path, for new and for its rational part
+        assert (new < q, new >= q, q < new) == (old < q, old >= q, q < old)
+        assert (QuadNum(old.a) < q, q < QuadNum(old.a)) == (old.a < q, q < old.a)
     assert QuadNum.from_json(new.to_json()) == new
     assert all(new.decimal(d) == old.decimal(d) for d in (0, 1, 4, 9))
     if new.is_rational:

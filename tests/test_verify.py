@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 
 import pytest
 
@@ -345,3 +346,40 @@ def test_good_certificates_build_no_fraction(monkeypatch, family, n, k):
     data = cert.to_json()
     assert built == []
     assert data["valid"] is True and cert.pencil.reduction.to_json()["is_line_pencil"] is True
+
+
+@pytest.mark.parametrize("family,n,k", [("even", 6, 6), ("odd", 5, 6), ("sq4", 5, 4), ("sq2", 5, 4)])
+def test_emptiness_certificates_build_no_quadnum(monkeypatch, family, n, k):
+    """The certificate path of an integral class runs on ints: no binding of
+    the QuadNum builder and no public construction is reached."""
+    from morirays import QuadNum, quadfield
+
+    row = families.good_family(family)
+    matrix = families.shape_matrix(row.parent, n)
+    d, a, b, c = dynamics.iterate(matrix, families.PENCIL_SEED, k).term(k)
+    _, n1, n2 = matrix.counts
+    pencil = MultiplicityProfile(d, [(a, 1), (b, n1), (c, n2)])
+    system = families.good_profile(family, n, k)
+
+    built = []
+    build, new = quadfield._build, QuadNum.__new__
+
+    def counting_build(*args):
+        built.append(args)
+        return build(*args)
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    modules = [m for m in sys.modules.values() if getattr(m, "_build", None) is build]
+    assert {m.__name__ for m in modules} >= {"morirays.quadfield", "morirays.lattice", "morirays.dynamics"}
+    for m in modules:
+        monkeypatch.setattr(m, "_build", counting_build)
+    monkeypatch.setattr(QuadNum, "__new__", counting_new)
+    assert QuadNum(1, 1, 2) and len(built) == 2  # the wrappers see constructions
+    built.clear()
+    cert = emptiness_certificate(system, pencil, row.order(n))
+    data = cert.to_json()
+    assert built == []
+    assert cert.valid and data == verify_good(family, n, k).emptiness.to_json()
