@@ -32,7 +32,7 @@ from .cremona import (
     quadratic_map,
     sturm_map,
 )
-from .dynamics import Ray, SpectrumError, certify_convergence, eigen, iterate
+from .dynamics import OrbitSizeError, Ray, SpectrumError, certify_convergence, eigen, iterate
 from .lattice import _quad
 from .quadfield import MixedRadicandError
 
@@ -45,6 +45,30 @@ class UsageError(Exception):
 # sys.set_int_max_str_digits), so decimal displays stop there, or at the
 # interpreter's limit when that is lower.
 MAX_DIGITS = 4300
+
+
+def _int_str_limit() -> int:
+    """The interpreter's limit on the digits of an int rendered as text; 0
+    means no limit, and Python before 3.10.7 has no limit to read."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@functools.cache
+def _power_of_ten(digits: int) -> int:
+    return 10 ** digits
+
+
+def _orbit_bound() -> int | None:
+    """The least absolute value an output int cannot be rendered at, None
+    without a limit."""
+    limit = _int_str_limit()
+    return _power_of_ten(limit) if limit else None
+
+
+def _too_large(k: int | str, e: OrbitSizeError) -> UsageError:
+    return UsageError(f"--k {k} is too large: the output at k={e.k} would hold an integer of more than "
+                      f"{_int_str_limit()} digits, the interpreter's limit for integer string conversion "
+                      f"(sys.get_int_max_str_digits())")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -234,7 +258,10 @@ def cmd_orbit(args) -> int:
             raise UsageError(f"bad seed {args.seed!r}; expected comma-separated integers") from None
         if len(seed) != 4:
             raise UsageError("seed needs exactly 4 entries: d,a,b,c")
-    orbit = iterate(families.shape_matrix(args.family, args.n), seed, args.k)
+    try:
+        orbit = iterate(families.shape_matrix(args.family, args.n), seed, args.k, _orbit_bound())
+    except OrbitSizeError as e:
+        raise _too_large(args.k, e) from None
 
     if args.format == "json":
         text = _json_text({"family": args.family, "n": args.n, "orbit": orbit.to_json()})
@@ -321,7 +348,15 @@ def cmd_verify(args) -> int:
     if k_lo < 0:
         raise UsageError(f"--k must start at >= 0, got {k_lo}")
 
-    certs = [verify.verify_good(name, n, k) for n in range(n_lo, n_hi + 1) for k in range(k_lo, k_hi + 1)]
+    bound = _orbit_bound()
+    try:
+        # the largest k of each n first: orbit rows grow with k, so a --k too
+        # large is refused before the sweep
+        last = {n: verify.verify_good(name, n, k_hi, bound) for n in range(n_lo, n_hi + 1)}
+        certs = [last[n] if k == k_hi else verify.verify_good(name, n, k, bound)
+                 for n in range(n_lo, n_hi + 1) for k in range(k_lo, k_hi + 1)]
+    except OrbitSizeError as e:
+        raise _too_large(args.k, e) from None
     table = verify.defernex_sweep(families.GOOD_LIMITS[name], n_lo, n_hi)
     ok = all(c.valid for c in certs) and table.valid
     failing = [(c.n, c.k) for c in certs if not c.valid]
@@ -489,8 +524,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.digits < 0:
             raise UsageError(f"--digits must be >= 0, got {args.digits}")
-        # 0 means no limit; Python before 3.10.7 has no limit to read
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        limit = _int_str_limit()
         bound = min(MAX_DIGITS, limit) if limit else MAX_DIGITS
         if args.digits > bound:
             raise UsageError(f"--digits must be <= {bound}, got {args.digits}")

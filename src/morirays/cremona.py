@@ -64,7 +64,7 @@ class _IntMatrix:
         if self._shape() != other._shape():
             raise ValueError(f"{self._shapes_name} differ: {self._shape()} vs {other._shape()}")
         cols = tuple(zip(*other.rows))
-        return self._with_rows([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows])
+        return self._with_rows([[sum(map(mul, row, col)) for col in cols] for row in self.rows])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
@@ -120,17 +120,18 @@ class CharMatrix(_IntMatrix):
     def validate(self) -> None:
         """Check: preserves the intersection form, fixes K, valid first column."""
         n = self.s + 1
-        sig = [1] + [-1] * self.s
-        for i in range(n):
+        cols = tuple(zip(*self.rows))
+        for i, col in enumerate(cols):
+            # (M^T J M)[i][j] with J = diag(1, -1, ..., -1): the column J M e_i against M e_j
+            signed = (col[0],) + tuple([-x for x in col[1:]])
             for j in range(i, n):
-                # (M^T J M)[i][j] with J = diag(1, -1, ..., -1)
-                val = sum(sig[t] * self.rows[t][i] * self.rows[t][j] for t in range(n))
-                want = sig[i] if i == j else 0
+                val = sum(map(mul, signed, cols[j]))
+                want = (1 if i == 0 else -1) if i == j else 0
                 if val != want:
                     raise ValueError(f"form not preserved at ({i},{j}): {val} != {want}")
-        k = [-3] + [1] * self.s
-        for i in range(n):
-            if sum(self.rows[i][j] * k[j] for j in range(n)) != k[i]:
+        k = (-3,) + (1,) * self.s
+        for i, row in enumerate(self.rows):
+            if sum(map(mul, row, k)) != k[i]:
                 raise ValueError(f"canonical vector moved at row {i}")
         net = self.homaloidal_net()
         d = net.degree

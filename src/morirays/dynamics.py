@@ -4,9 +4,12 @@ Everything is exact and integer until the last step.  The characteristic
 polynomial comes from Faddeev-LeVerrier on the integer rows.  Its rational
 roots are integer divisors of its constant term; what is left is at most one
 irreducible quadratic factor, with roots (a +- b*sqrt(N))/d for integers a,
-b, d.  Eigenvectors come from fraction-free Gauss-Jordan elimination over
-Z[sqrt(N)], and only the finished kernel entries become QuadNum.  Dominance
-is certified by sign computations rather than numerics.
+b, d.  The eigenvector of a simple eigenvalue, and the left eigenvector of
+the dominant one, is a column of the product of M minus the other
+eigenvalues (Cayley-Hamilton projection), made on Z[sqrt(N)] pairs; a
+repeated eigenvalue takes fraction-free Gauss-Jordan elimination over
+Z[sqrt(N)].  Only the finished entries become QuadNum.  Dominance is
+certified by sign computations rather than numerics.
 """
 
 from __future__ import annotations
@@ -162,6 +165,47 @@ def _kernel(rows: list[list[tuple[int, int]]], rad: int) -> list[tuple[QuadNum, 
     return basis
 
 
+def _projected(
+    rows: Sequence[Sequence[int]], lam: tuple[int, int, int], spectrum: list[tuple[tuple[int, int, int], int]],
+    rad: int,
+) -> tuple[QuadNum, ...]:
+    """Eigenvector of the simple eigenvalue lam of an integer matrix, scaled
+    to 1 at its last nonzero entry; `spectrum` lists every eigenvalue triple
+    with its algebraic multiplicity.
+
+    p(M), the product of (delta*M - (alpha + beta*sqrt(rad))*I)^alg over the
+    other eigenvalues, times M - lam*I is a multiple of the characteristic
+    polynomial at M, which vanishes (Cayley-Hamilton).  So every column of
+    p(M) lies in the kernel of M - lam*I, a line, and some column is nonzero:
+    the minimal polynomial has the factor x - lam, which p lacks.  The
+    columns p(M) e_0, p(M) e_1, ... are made on Z[sqrt(rad)] pairs until one
+    is nonzero.  The kernel vector with 1 at its last nonzero entry is the
+    basis vector that `_kernel` reads off the reduced row echelon form.
+    """
+    factors = [mu for mu, alg in spectrum if mu != lam for _ in range(alg)]
+    size = len(rows)
+    for j in range(size):
+        xs, ys = [0] * size, [0] * size  # the entries x + y*sqrt(rad)
+        xs[j] = 1
+        for alpha, beta, delta in factors:
+            mx = [sum(map(mul, row, xs)) for row in rows]
+            my = [sum(map(mul, row, ys)) for row in rows] if any(ys) else ys
+            br = beta * rad
+            xs, ys = (
+                [delta * t - alpha * x - br * y for t, x, y in zip(mx, xs, ys)],
+                [delta * t - alpha * y - beta * x for t, x, y in zip(my, xs, ys)],
+            )
+        last = next((i for i in reversed(range(size)) if xs[i] or ys[i]), None)
+        if last is not None:
+            # divide by u + w*sqrt(rad): times its conjugate, over its norm
+            u, w = xs[last], ys[last]
+            nrm, wr = u * u - w * w * rad, w * rad
+            return tuple(
+                _build(x * u - y * wr, y * u - x * w, nrm, rad) if x or y else _Q0 for x, y in zip(xs, ys)
+            )
+    raise AssertionError("p(M) vanished: lam is not a simple eigenvalue")
+
+
 def _shifted(m: ShapeMatrix, lam: tuple[int, int, int], transpose: bool = False) -> list[list[tuple[int, int]]]:
     """delta*(M - lambda*I), or its transpose, over Z[sqrt(rad)]."""
     alpha, beta, delta = lam
@@ -239,6 +283,8 @@ def eigen(m: ShapeMatrix) -> EigenDecomposition:
             # the conjugate of the eigenvalue before it: elimination commutes
             # with conjugation and keeps its pivots, so the kernel is conjugate
             vecs = tuple(tuple(q.conjugate() for q in v) for v in eigenvalues[-1].vectors)
+        elif alg == 1:
+            vecs = (_projected(m.rows, lam, spectrum, rad),)
         else:
             vecs = tuple(_kernel(_shifted(m, lam), rad))
         eigenvalues.append(Eigenvalue(_build(*lam, rad), alg, len(vecs), vecs))
@@ -255,7 +301,7 @@ def eigen(m: ShapeMatrix) -> EigenDecomposition:
     )
     if not strict:
         return EigenDecomposition(m, coeffs, tuple(eigenvalues), None, None)
-    (left,) = _kernel(_shifted(m, spectrum[dominant][0], transpose=True), rad)
+    left = _projected(tuple(zip(*m.rows)), spectrum[dominant][0], spectrum, rad)
     return EigenDecomposition(m, coeffs, tuple(eigenvalues), dominant, left)
 
 
@@ -364,13 +410,31 @@ class OrbitSequence:
         return {"seed": list(self.seed), "terms": [list(t) for t in self.terms]}
 
 
-def iterate(m: ShapeMatrix, seed: Sequence[int], k_max: int) -> OrbitSequence:
+class OrbitSizeError(ValueError):
+    """An orbit term has a coordinate at or past the bound it was given."""
+
+    def __init__(self, k: int, bound: int):
+        super().__init__(f"orbit term k={k} has a coordinate of absolute value >= the bound "
+                         f"({bound.bit_length()} bits)")
+        self.k = k
+
+
+def iterate(m: ShapeMatrix, seed: Sequence[int], k_max: int, bound: int | None = None) -> OrbitSequence:
+    """The terms M^k(seed) for k = 0..k_max.  With a `bound`, raises
+    OrbitSizeError at the first term with a coordinate of absolute value
+    `bound` or more, before computing the next: a bit-length test per term,
+    and a comparison only when that test cannot tell."""
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     seed = tuple(int(x) for x in seed)
     terms = [seed]
-    for _ in range(k_max):
-        terms.append(tuple(m.apply(terms[-1])))
+    bits = bound.bit_length() if bound is not None else 0
+    for k in range(k_max + 1):
+        term = terms[-1]
+        if bits and term and max(map(int.bit_length, term)) >= bits and max(map(abs, term)) >= bound:
+            raise OrbitSizeError(k, bound)
+        if k < k_max:
+            terms.append(tuple(m.apply(term)))
     return OrbitSequence(m, seed, tuple(terms))
 
 
@@ -421,11 +485,24 @@ class ConvergenceCertificate:
         }
 
 
-def _dot(u: Sequence[QuadNum], v: Sequence) -> QuadNum:
-    acc = QuadNum(0)
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
+def _dot(u: Sequence, v: Sequence) -> QuadNum:
+    """Sum of the products u_i * v_i.  Int and QuadNum entries over at most one
+    radicand are multiplied and summed as ints over a common denominator and
+    built once; any other input takes the QuadNum sum, so two radicands raise
+    MixedRadicandError as QuadNum arithmetic does."""
+    pairs = list(zip(u, v))
+    rads = {x.rad if type(x) is QuadNum else 1 if type(x) is int else None for p in pairs for x in p}
+    rads.discard(1)
+    if len(rads) > 1 or None in rads:
+        acc = QuadNum(0)
+        for a, b in pairs:
+            acc = acc + a * b
+        return acc
+    rad = rads.pop() if rads else 1
+    prods = [(a * c + b * e * rad, a * e + b * c, d * f) for (a, b, d), (c, e, f) in
+             ((_ints(x), _ints(y)) for x, y in pairs)]
+    den = lcm(*(d for _, _, d in prods))
+    return _build(sum(a * (den // d) for a, _, d in prods), sum(b * (den // d) for _, b, d in prods), den, rad)
 
 
 def certify_convergence(m: ShapeMatrix | EigenDecomposition, seed: Sequence[int]) -> ConvergenceCertificate:

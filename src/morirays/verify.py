@@ -20,7 +20,16 @@ from dataclasses import dataclass
 
 from . import families
 from .cremona import ReductionResult, cremona_reduce, quadratic_map
-from .dynamics import ConvergenceCertificate, Ray, SpectrumError, certify_convergence, dominant_ray, eigen, iterate
+from .dynamics import (
+    ConvergenceCertificate,
+    OrbitSizeError,
+    Ray,
+    SpectrumError,
+    certify_convergence,
+    dominant_ray,
+    eigen,
+    iterate,
+)
 from .lattice import DivisorClass, MultiplicityProfile, _is_rational
 from .quadfield import QuadNum, RadicalSum, _ratio_str
 
@@ -233,18 +242,24 @@ class GoodRayCertificate:
         }
 
 
-def verify_good(family: str, n: int, k: int) -> GoodRayCertificate:
+def verify_good(family: str, n: int, k: int, bound: int | None = None) -> GoodRayCertificate:
     """Certificate for the order-r split of the r-scaled k-th pencil class
     L_d(a, b^{n1}, c^{n2}) of the parent family: the displayed system is
     L_{rd}(a^{r^2}, (rb)^{n1}, (rc)^{n2}).  The collision rule is picked by
     the order: 2 reuses the order-2 argument, 3 counts matching conditions,
-    larger orders use the twist bound."""
+    larger orders use the twist bound.
+
+    With a `bound`, raises OrbitSizeError instead when an integer the
+    certificate states would reach it in absolute value: a coordinate of an
+    orbit row, r*d, r*b, r*c or 3c.  The invariants state small constants."""
     row = families.good_family(family)
     parent = families.family(row.parent)
     r = row.order(n)
     matrix = parent.matrix(n)
-    orbit_row = iterate(matrix, families.PENCIL_SEED, k).term(k)
+    orbit_row = iterate(matrix, families.PENCIL_SEED, k, bound).term(k)
     d, a, b, c = orbit_row
+    if bound is not None and max(r * max(abs(d), abs(b), abs(c)), abs(a), 3 * abs(c)) >= bound:
+        raise OrbitSizeError(k, bound)
     _, n1, n2 = matrix.counts
     system = families.good_profile(family, n, k, orbit_row)
     displayed = MultiplicityProfile(r * d, [(a, r * r), (r * b, n1), (r * c, n2)])

@@ -2,12 +2,15 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import morirays
 from morirays import CharMatrix, DivisorClass, MultiplicityProfile, RadicalSum, Ray, dynamics, families, verify
 from morirays.cli import _parse, build_parser, main
 from morirays.dynamics import char_poly
@@ -293,16 +296,26 @@ def test_parser_reused_after_a_usage_error(capsys):
     assert build_parser() is build_parser()
 
 
+def _module_env():
+    """The environment with PYTHONPATH led by the directory that holds the
+    imported morirays package, so `python -m morirays` in a subprocess runs
+    the code under test however pytest found it."""
+    root = str(Path(morirays.__file__).resolve().parent.parent)
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": root + (os.pathsep + rest if rest else "")}
+
+
 def test_console_script_and_module():
+    env = _module_env()
     proc = subprocess.run(
         [sys.executable, "-m", "morirays", "pair", "--ray", "Wplus_sq2:1", "--with", "F",
          "--format", "json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["sign"] == -1
     bad = subprocess.run([sys.executable, "-m", "morirays", "verify", "--family", "even",
-                          "--n", "2", "--k", "0"], capture_output=True, text=True)
+                          "--n", "2", "--k", "0"], capture_output=True, text=True, env=env)
     assert bad.returncode == 1
 
 
@@ -434,3 +447,69 @@ def _parse_outcome(capsys, parse, argv):
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "<empty>")
 def test_dispatch_parses_like_the_top_level_parser(capsys, argv):
     assert _parse_outcome(capsys, _parse, argv) == _parse_outcome(capsys, build_parser().parse_args, argv)
+
+
+# -- orbits past the interpreter's int string limit -----------------------------------
+
+
+LIMIT_MESSAGE = "digits, the interpreter's limit for integer string conversion (sys.get_int_max_str_digits())\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int string limit before Python 3.10.7")
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--family", "odd", "--n", "2", "--k", "200000"],
+    ["orbit", "--family", "even", "--n", "1", "--k", "20000", "--format", "json"],
+    ["verify", "--family", "odd", "--n", "1", "--k", "20000"],
+    ["verify", "--family", "sq2", "--n", "1..3", "--k", "1..200000", "--format", "csv"],
+])
+def test_huge_k_is_refused_quickly_with_a_usage_error(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 10
+    k = argv[argv.index("--k") + 1]
+    limit = sys.get_int_max_str_digits()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --k {k} is too large: the output at k=") and err.endswith(LIMIT_MESSAGE)
+    assert f"integer of more than {limit} digits" in err
+
+
+def _first_k_past(family, n, peak):
+    """The least k whose pencil orbit row has peak(row) >= 10**640."""
+    m = families.shape_matrix(family, n)
+    row, k = families.PENCIL_SEED, 0
+    while peak(row) < 10 ** 640:
+        row, k = m.apply(row), k + 1
+    return k
+
+
+def _longest_int(text):
+    return max(len(t) for t in text.replace("-", " ").replace(",", " ").split() if t.isdigit())
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int string limit before Python 3.10.7")
+def test_k_bound_follows_a_lower_interpreter_limit(capsys):
+    k_orbit = _first_k_past("odd", 2, lambda row: max(map(abs, row)))
+    # the odd sweep splits the B_n pencil to order 2: it states d, a, b, c, 2d, 2b, 2c and 3c
+    k_verify = _first_k_past("even", 1, lambda row: max(2 * row[0], 2 * row[2], 3 * row[3], row[1]))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        orbit_ok = run(capsys, "orbit", "--family", "odd", "--n", "2", "--k", str(k_orbit - 1), "--format", "json")
+        orbit_bad = run(capsys, "orbit", "--family", "odd", "--n", "2", "--k", str(k_orbit))
+        verify_ok = run(capsys, "verify", "--family", "odd", "--n", "1", "--k", str(k_verify - 1), "--format", "json")
+        verify_bad = run(capsys, "verify", "--family", "odd", "--n", "1", "--k", f"1..{k_verify}", "--format", "json")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, out, err = orbit_ok
+    assert (code, err) == (0, "") and _longest_int(out) == 640
+    assert orbit_bad == (2, "", f"error: --k {k_orbit} is too large: the output at k={k_orbit} would hold an "
+                                f"integer of more than 640 {LIMIT_MESSAGE}")
+    code, out, err = verify_ok
+    assert (code, err) == (0, "") and json.loads(out)["valid"] is True and _longest_int(out) == 640
+    assert verify_bad == (2, "", f"error: --k 1..{k_verify} is too large: the output at k={k_verify} would hold "
+                                 f"an integer of more than 640 {LIMIT_MESSAGE}")
+    # the refusals are exact: under the default limit the refused outputs hold a longer integer
+    for argv in (["orbit", "--family", "odd", "--n", "2", "--k", str(k_orbit)],
+                 ["verify", "--family", "odd", "--n", "1", "--k", str(k_verify)]):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and _longest_int(out) > 640

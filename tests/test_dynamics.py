@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from morirays import (
     DivisorClass,
+    MixedRadicandError,
     MultiplicityProfile,
     QuadNum,
     Ray,
@@ -22,6 +23,7 @@ from morirays import (
     iterate,
 )
 from morirays import dynamics, families, verify
+from morirays.dynamics import OrbitSizeError
 from morirays.families import (
     LINE_SEED,
     PENCIL_SEED,
@@ -472,3 +474,138 @@ def test_ray_representative_is_primitive_and_scale_free(blocks, rad, scale):
     assert all(den == 1 for _, _, den in parts)
     assert math.gcd(*(x for a, b, _ in parts for x in (a, b))) == 1
     assert Ray(p.scale(scale)) == ray == Ray(p.scale(QuadNum(scale, 1, rad) * QuadNum(scale, 1, rad)))
+
+
+# -- eigenvectors of simple eigenvalues by projection -------------------------------
+
+
+def _random_matrices():
+    """The matrices of test_integer_kernel_matches_field_elimination_on_random_matrices."""
+    rng = random.Random(7031)
+    for _ in range(300):
+        k = rng.randint(2, 4)
+        rows = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
+        if rng.random() < 0.3:
+            rows = [[rng.choice([1, 2]) if i == j else 0 for j in range(k)] for i in range(k)]
+            rows[rng.randrange(k)][rng.randrange(k)] += rng.randint(-2, 2)
+        yield ShapeMatrix(rows, counts=[1] * (k - 1))
+
+
+def _decompositions():
+    """(matrix, decomposition) for the random matrices and the six families at n = 1..40."""
+    matrices = list(_random_matrices())
+    matrices += [_shape_matrix(tag, n) for tag in families.WONDERFUL_TAGS for n in range(1, 41)]
+    for m in matrices:
+        try:
+            yield m, eigen(m)
+        except SpectrumError:
+            continue
+
+
+def test_elimination_runs_only_for_repeated_eigenvalues(monkeypatch):
+    calls = []
+    kernel = dynamics._kernel
+
+    def counting(rows, rad):
+        calls.append(rows)
+        return kernel(rows, rad)
+
+    monkeypatch.setattr(dynamics, "_kernel", counting)
+    repeated = simple = left = 0
+    for m, dec in _decompositions():
+        expected = [dynamics._shifted(m, _triple(e.value)) for e in dec.eigenvalues if e.algebraic >= 2]
+        assert calls == expected, m.rows
+        calls.clear()
+        repeated += len(expected)
+        simple += sum(e.algebraic == 1 for e in dec.eigenvalues)
+        left += dec.left_vector is not None
+    assert repeated > 300 and simple > 300 and left > 300
+
+
+def test_left_vector_is_the_kernel_basis_vector():
+    deltas = set()
+    for m, dec in _decompositions():
+        if dec.dominant_index is None:
+            assert dec.left_vector is None
+            continue
+        lam = dec.dominant.value
+        triple = _triple(lam)
+        deltas.add(triple[2])
+        assert [dec.left_vector] == dynamics._kernel(dynamics._shifted(m, triple, True), lam.rad), m.rows
+    assert deltas == {1, 2}
+
+
+def test_projection_of_a_one_by_one_matrix():
+    dec = eigen(ShapeMatrix([[5]], counts=()))
+    assert dec.eigenvalues[0].vectors == ((QuadNum(1),),) and dec.left_vector == (QuadNum(1),)
+
+
+def _quad_dot(u, v):
+    acc = QuadNum(0)
+    for a, b in zip(u, v):
+        acc = acc + a * b
+    return acc
+
+
+small = st.integers(-60, 60)
+fractions = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+def dot_entries(rad):
+    """Ints, rationals and elements of Q(sqrt(rad)), eigenvalue-like halves included."""
+    return st.one_of(
+        small,
+        fractions,
+        fractions.map(QuadNum),
+        st.builds(QuadNum, fractions, fractions, st.just(rad)),
+        st.builds(lambda a, b: QuadNum(F(a, 2), F(b, 2), rad), small, small),
+    )
+
+
+@given(st.sampled_from([2, 3, 5, 6, 21]).flatmap(
+    lambda rad: st.tuples(st.lists(dot_entries(rad), max_size=6), st.lists(dot_entries(rad), max_size=6))))
+def test_int_dot_matches_the_quadnum_sum(uv):
+    u, v = uv
+    got = dynamics._dot(u, v)
+    assert type(got) is QuadNum and got == _quad_dot(u, v)
+
+
+@given(st.lists(st.one_of(dot_entries(2), dot_entries(3)), max_size=5),
+       st.lists(st.one_of(dot_entries(2), dot_entries(3)), max_size=5))
+def test_int_dot_keeps_the_mixed_radicand_error(u, v):
+    try:
+        want = _quad_dot(u, v)
+    except MixedRadicandError:
+        with pytest.raises(MixedRadicandError):
+            dynamics._dot(u, v)
+    else:
+        assert dynamics._dot(u, v) == want
+
+
+def test_int_dot_on_two_radicands():
+    r2, r3 = QuadNum(0, 1, 2), QuadNum(0, 1, 3)
+    with pytest.raises(MixedRadicandError):
+        dynamics._dot([r2, r3], [1, 1])
+    assert dynamics._dot([r2, r3], [r2, r3]) == 5  # each product is rational
+    assert dynamics._dot([], []) == 0 and dynamics._dot([QuadNum(F(1, 2))], [3, 4]) == F(3, 2)
+
+
+# -- orbits with a size bound ----------------------------------------------------------
+
+
+def test_iterate_stops_at_the_first_term_that_reaches_the_bound():
+    m = odd_shape_matrix(2)
+    terms = iterate(m, PENCIL_SEED, 6).terms
+    for k in range(7):
+        peak = max(map(abs, terms[k]))
+        for bound in (peak, peak + 1, 1 << (peak.bit_length() - 1), 1 << peak.bit_length()):
+            first = next((j for j, t in enumerate(terms) if max(map(abs, t)) >= bound), None)
+            if first is None:
+                assert iterate(m, PENCIL_SEED, 6, bound).terms == terms
+                continue
+            with pytest.raises(OrbitSizeError) as e:
+                iterate(m, PENCIL_SEED, 6, bound)
+            assert e.value.k == first and isinstance(e.value, ValueError)
+    assert iterate(m, (-3, 0, 0, 0), 0, 4).terms == ((-3, 0, 0, 0),)
+    with pytest.raises(OrbitSizeError):
+        iterate(m, (-4, 0, 0, 0), 0, 4)
