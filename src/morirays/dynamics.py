@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .cremona import ShapeMatrix
 from .lattice import DivisorClass, MultiplicityProfile, _ints, _is_rational, _quad
-from .quadfield import QuadNum, _build, split_square
+from .quadfield import MixedRadicandError, QuadNum, _build, split_square
 
 
 class SpectrumError(ValueError):
@@ -280,8 +280,9 @@ def eigen(m: ShapeMatrix) -> EigenDecomposition:
     eigenvalues = []
     for lam, alg in spectrum:
         if lam[1] < 0:
-            # the conjugate of the eigenvalue before it: elimination commutes
-            # with conjugation and keeps its pivots, so the kernel is conjugate
+            # the conjugate of the eigenvalue before it: conjugation carries
+            # that eigenvalue's p(M) to this one's and keeps the index of the
+            # last nonzero entry, so the projected vector is the conjugate
             vecs = tuple(tuple(q.conjugate() for q in v) for v in eigenvalues[-1].vectors)
         elif alg == 1:
             vecs = (_projected(m.rows, lam, spectrum, rad),)
@@ -486,18 +487,13 @@ class ConvergenceCertificate:
 
 
 def _dot(u: Sequence, v: Sequence) -> QuadNum:
-    """Sum of the products u_i * v_i.  Int and QuadNum entries over at most one
-    radicand are multiplied and summed as ints over a common denominator and
-    built once; any other input takes the QuadNum sum, so two radicands raise
-    MixedRadicandError as QuadNum arithmetic does."""
+    """Sum of the products u_i * v_i of int and QuadNum entries, multiplied and
+    summed as ints over a common denominator and built once.  Entries over two
+    irrational radicands raise MixedRadicandError."""
     pairs = list(zip(u, v))
-    rads = {x.rad if type(x) is QuadNum else 1 if type(x) is int else None for p in pairs for x in p}
-    rads.discard(1)
-    if len(rads) > 1 or None in rads:
-        acc = QuadNum(0)
-        for a, b in pairs:
-            acc = acc + a * b
-        return acc
+    rads = {x.rad for p in pairs for x in p if type(x) is QuadNum} - {1}
+    if len(rads) > 1:
+        raise MixedRadicandError(f"radicands {' and '.join(map(str, sorted(rads)))} are incompatible")
     rad = rads.pop() if rads else 1
     prods = [(a * c + b * e * rad, a * e + b * c, d * f) for (a, b, d), (c, e, f) in
              ((_ints(x), _ints(y)) for x, y in pairs)]
