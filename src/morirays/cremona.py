@@ -371,13 +371,6 @@ class ReductionResult:
     def is_line_pencil(self) -> bool:
         return is_line_pencil_up_to_permutation(self.reduced)
 
-    def replay(self) -> bool:
-        """Re-apply the recorded quadratic maps; must land on `reduced`."""
-        x = self.start
-        for t in self.steps:
-            x = quadratic_map(t, x.s).apply(x)
-        return x == self.reduced
-
     def to_json(self) -> dict:
         return {
             "start": self.start.to_json(),

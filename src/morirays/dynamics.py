@@ -6,9 +6,10 @@ roots are integer divisors of its constant term; what is left is at most one
 irreducible quadratic factor, with roots (a +- b*sqrt(N))/d for integers a,
 b, d.  The eigenvector of a simple eigenvalue, and the left eigenvector of
 the dominant one, is a column of the product of M minus the other
-eigenvalues (Cayley-Hamilton projection), made on Z[sqrt(N)] pairs; a
-repeated eigenvalue takes fraction-free Gauss-Jordan elimination over
-Z[sqrt(N)].  Only the finished entries become QuadNum.  Dominance is
+eigenvalues (Cayley-Hamilton projection), made on Z[sqrt(N)] pairs.  A
+repeated eigenvalue is rational, since the quadratic factor's roots are
+simple, and takes fraction-free Gauss-Jordan elimination on the integer
+rows.  Only the finished entries become QuadNum.  Dominance is
 certified by sign computations rather than numerics.
 """
 
@@ -115,15 +116,15 @@ class Eigenvalue:
 _Q0, _Q1 = _build(0, 0, 1, 1), _build(1, 0, 1, 1)
 
 
-def _kernel(rows: list[list[tuple[int, int]]], rad: int) -> list[tuple[QuadNum, ...]]:
-    """Basis of the kernel of a matrix over Z[sqrt(rad)].
+def _kernel(rows: list[list[int]]) -> list[tuple[QuadNum, ...]]:
+    """Basis of the kernel of an integer matrix.
 
     Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968):
     with pivot row R_r and pivot piv, every other row becomes
-    piv*R_i - f*R_r, divided by the gcd of its integer content.  Each row
-    stays a nonzero multiple of its row in the reduced row echelon form over
-    the field, which is unique, so the basis is the one field elimination
-    gives: entry -x/y with y the pivot, formed once as -x*conj(y)/N(y).
+    piv*R_i - f*R_r, divided by the gcd of its entries.  Each row stays a
+    nonzero multiple of its row in the reduced row echelon form over Q,
+    which is unique, so the basis is the one field elimination gives:
+    entry -x/y with y the pivot.
     """
     n = len(rows)
     m = len(rows[0]) if rows else 0
@@ -131,36 +132,28 @@ def _kernel(rows: list[list[tuple[int, int]]], rad: int) -> list[tuple[QuadNum, 
     pivots: list[int] = []
     r = 0
     for c in range(m):
-        p = next((i for i in range(r, n) if R[i][c] != (0, 0)), None)
+        p = next((i for i in range(r, n) if R[i][c]), None)
         if p is None:
             continue
         R[r], R[p] = R[p], R[r]
-        pa, pb = R[r][c]
-        pbr = pb * rad
+        piv = R[r][c]
         for i in range(n):
-            fa, fb = R[i][c]
-            if i == r or not (fa or fb):
+            f = R[i][c]
+            if i == r or not f:
                 continue
-            fbr = fb * rad
-            row = [
-                (pa * x + pbr * y - fa * u - fbr * w, pa * y + pb * x - fa * w - fb * u)
-                for (x, y), (u, w) in zip(R[i], R[r])
-            ]
-            g = gcd(*(t for e in row for t in e))
-            R[i] = [(x // g, y // g) for x, y in row] if g > 1 else row
+            row = [piv * x - f * u for x, u in zip(R[i], R[r])]
+            g = gcd(*row)
+            R[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == n:
             break
-    free = [c for c in range(m) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(m) if c not in pivots):
         v = [_Q0] * m
         v[fc] = _Q1
         for pr, pc in enumerate(pivots):
-            x, y = R[pr][fc]
-            u, w = R[pr][pc]
-            v[pc] = _build(y * w * rad - x * u, x * w - y * u, u * u - w * w * rad, rad)
+            v[pc] = _build(-R[pr][fc], 0, R[pr][pc], 1)
         basis.append(tuple(v))
     return basis
 
@@ -206,14 +199,10 @@ def _projected(
     raise AssertionError("p(M) vanished: lam is not a simple eigenvalue")
 
 
-def _shifted(m: ShapeMatrix, lam: tuple[int, int, int], transpose: bool = False) -> list[list[tuple[int, int]]]:
-    """delta*(M - lambda*I), or its transpose, over Z[sqrt(rad)]."""
-    alpha, beta, delta = lam
+def _shifted(m: ShapeMatrix, lam: int, transpose: bool = False) -> list[list[int]]:
+    """M - lam*I, or its transpose, for an integer eigenvalue lam."""
     rows = zip(*m.rows) if transpose else m.rows
-    return [
-        [(delta * x - alpha, -beta) if i == j else (delta * x, 0) for j, x in enumerate(row)]
-        for i, row in enumerate(rows)
-    ]
+    return [[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
 
 
 @dataclass(frozen=True)
@@ -286,8 +275,8 @@ def eigen(m: ShapeMatrix) -> EigenDecomposition:
             vecs = tuple(tuple(q.conjugate() for q in v) for v in eigenvalues[-1].vectors)
         elif alg == 1:
             vecs = (_projected(m.rows, lam, spectrum, rad),)
-        else:
-            vecs = tuple(_kernel(_shifted(m, lam), rad))
+        else:  # repeated, so rational: the quadratic factor's roots are simple
+            vecs = tuple(_kernel(_shifted(m, lam[0])))
         eigenvalues.append(Eigenvalue(_build(*lam, rad), alg, len(vecs), vecs))
 
     dominant = None

@@ -6,6 +6,9 @@ otherwise, so integral classes run on ints end to end; the pairings still
 return a QuadNum.  The intersection form is diag(1, -1, ..., -1)
 in the basis (H, E_1, ..., E_s).  Point indices are 1-based throughout, matching
 the E_1..E_s labels.
+
+Pairings and collisions are written once, on MultiplicityProfile's blocks;
+DivisorClass, the point-by-point view, runs them on one-point blocks.
 """
 
 from __future__ import annotations
@@ -86,17 +89,6 @@ def _coord_from_json(data) -> Coord:
     return QuadNum.from_json(data)
 
 
-def _defernex_value(degree: Coord, s: int, pieces: list) -> RadicalSum:
-    """degree*sqrt(s-1) plus the multiplicity side, given as RadicalSum
-    pieces (rad, num, den) on squarefree radicands: only s-1 and
-    degree.rad*(s-1) are factored."""
-    a, b, den = _ints(degree)
-    for num, rad in ((a, s - 1), (b, b and degree.rad * (s - 1))):
-        if num:
-            pieces += _root_pieces(num, rad, den)
-    return RadicalSum._from_pieces(pieces)
-
-
 class DivisorClass:
     """Exact divisor class (degree; m_1, ..., m_s)."""
 
@@ -124,27 +116,29 @@ class DivisorClass:
     def is_integral(self) -> bool:
         return all(type(c) is int for c in self.coordinates())
 
-    # -- intersection theory ------------------------------------------------
+    def _profile(self) -> "MultiplicityProfile":
+        """This class as one-point blocks; the stored coordinates pass through
+        without being normalized again, as in `MultiplicityProfile.expand`."""
+        p = object.__new__(MultiplicityProfile)
+        object.__setattr__(p, "degree", self.degree)
+        object.__setattr__(p, "blocks", tuple((m, 1) for m in self.mults))
+        return p
+
+    # -- intersection theory: the block formulas of MultiplicityProfile -------
 
     def intersect(self, other: "DivisorClass") -> QuadNum:
-        if self.s != other.s:
-            raise ValueError(f"point counts differ: {self.s} vs {other.s}")
-        return _quad(self.degree * other.degree - sum(map(mul, self.mults, other.mults)))
+        return self._profile().intersect(other._profile())
 
     def self_intersection(self) -> QuadNum:
-        return self.intersect(self)
+        return self._profile().self_intersection()
 
     def canonical_pairing(self) -> QuadNum:
         """Pairing with K_s = -3H + sum E_i, i.e. sum(m_i) - 3d."""
-        return _quad(sum(self.mults) - 3 * self.degree)
+        return self._profile().canonical_pairing()
 
     def defernex_value(self) -> RadicalSum:
         """Pairing with F_s = sqrt(s-1)H - sum E_i, as an exact radical sum."""
-        pieces = []
-        for m in self.mults:
-            a, b, den = _ints(m)
-            pieces += ((1, -a, den), (b and m.rad, -b, den))
-        return _defernex_value(self.degree, self.s, pieces)
+        return self._profile().defernex_value()
 
     def defernex_sign(self) -> int:
         return self.defernex_value().sign()
@@ -187,29 +181,11 @@ class DivisorClass:
         Preserves degree and self-intersection; the canonical pairing grows by
         (r^2 - r) * (m/r).
         """
-        if not 1 <= point <= self.s:
-            raise IndexError(f"point {point} out of range 1..{self.s}")
-        if r < 1:
-            raise ValueError(f"uncollision order r={r} must be >= 1")
-        m = _div(self.mults[point - 1], r)
-        return DivisorClass(
-            self.degree,
-            self.mults[: point - 1] + (m,) * (r * r) + self.mults[point:],
-        )
+        return self._profile().uncollide(point, r).expand()
 
     def collide(self, point: int, r: int) -> "DivisorClass":
         """Inverse of uncollide: r^2 equal points starting at point become one."""
-        if r < 1:
-            raise ValueError(f"collision order r={r} must be >= 1")
-        if not 1 <= point <= self.s - r * r + 1:
-            raise IndexError(f"points {point}..{point + r * r - 1} out of range 1..{self.s}")
-        window = self.mults[point - 1 : point - 1 + r * r]
-        if any(m != window[0] for m in window[1:]):
-            raise ShapeError(f"multiplicities {window} are not all equal")
-        return DivisorClass(
-            self.degree,
-            self.mults[: point - 1] + (window[0] * r,) + self.mults[point - 1 + r * r :],
-        )
+        return self._profile().collide(point, r).expand()
 
     def permuted(self, order: Sequence[int]) -> "DivisorClass":
         """Reorder points; order lists 1-based source indices."""
@@ -223,7 +199,7 @@ class DivisorClass:
         return self.to_profile().pretty()
 
     def to_profile(self) -> "MultiplicityProfile":
-        return MultiplicityProfile.group(self)
+        return self._profile().canonical()
 
     def __str__(self) -> str:
         return self.pretty()
@@ -303,7 +279,7 @@ class MultiplicityProfile:
     @classmethod
     def group(cls, divisor: DivisorClass) -> "MultiplicityProfile":
         """Run-length encode consecutive equal multiplicities."""
-        return cls(divisor.degree, [(m, 1) for m in divisor.mults]).canonical()
+        return divisor.to_profile()
 
     def canonical(self) -> "MultiplicityProfile":
         """Merge adjacent equal-valued blocks: the one run-length encoding of
@@ -326,18 +302,19 @@ class MultiplicityProfile:
             pos += c
         raise IndexError(f"point {point} out of range 1..{self.s}")
 
+    def _splice(self, i: int, off: int, block: tuple, j: int, last: int) -> "MultiplicityProfile":
+        """Replace the points from offset `off` of block i to offset `last` of
+        block j by one block."""
+        (v, _), (w, c) = self.blocks[i], self.blocks[j]
+        head = [(v, off)] if off else []
+        tail = [(w, c - last - 1)] if last + 1 < c else []
+        return MultiplicityProfile(self.degree, [*self.blocks[:i], *head, block, *tail, *self.blocks[j + 1 :]])
+
     def uncollide(self, point: int, r: int) -> "MultiplicityProfile":
         if r < 1:
             raise ValueError(f"uncollision order r={r} must be >= 1")
         i, off = self._locate(point)
-        v, c = self.blocks[i]
-        mid: list[tuple[Coord, int]] = []
-        if off:
-            mid.append((v, off))
-        mid.append((_div(v, r), r * r))
-        if off + 1 < c:
-            mid.append((v, c - off - 1))
-        return MultiplicityProfile(self.degree, self.blocks[:i] + tuple(mid) + self.blocks[i + 1 :])
+        return self._splice(i, off, (_div(self.blocks[i][0], r), r * r), i, off)
 
     def collide(self, point: int, r: int) -> "MultiplicityProfile":
         if r < 1:
@@ -346,26 +323,12 @@ class MultiplicityProfile:
         if not 1 <= point <= self.s - need + 1:
             raise IndexError(f"points {point}..{point + need - 1} out of range 1..{self.s}")
         i, off = self._locate(point)
-        out = list(self.blocks[:i])
-        if off:
-            out.append((self.blocks[i][0], off))
+        j, last = self._locate(point + need - 1)
         value = self.blocks[i][0]
-        remaining = need
-        j = i
-        take = self.blocks[i][1] - off
-        while True:
-            v, _ = self.blocks[j]
+        for v, _ in self.blocks[i + 1 : j + 1]:
             if v != value:
                 raise ShapeError(f"multiplicities {value} and {v} differ inside collision window")
-            if take >= remaining:
-                out.append((value * r, 1))
-                if take > remaining:
-                    out.append((value, take - remaining))
-                out.extend(self.blocks[j + 1 :])
-                return MultiplicityProfile(self.degree, out)
-            remaining -= take
-            j += 1
-            take = self.blocks[j][1]
+        return self._splice(i, off, (value * r, 1), j, last)
 
     def scale(self, scalar) -> "MultiplicityProfile":
         c = _coord(scalar)
@@ -376,9 +339,12 @@ class MultiplicityProfile:
 
     # block-wise pairings avoid expanding wide profiles
     def intersect(self, other: "MultiplicityProfile") -> QuadNum:
-        if self.s != other.s or self.counts != other.counts:
-            return self.expand().intersect(other.expand())
-        rest = sum(c * (v * w) for (v, c), (w, _) in zip(self.blocks, other.blocks))
+        if self.counts == other.counts:
+            rest = sum(c * (v * w) for (v, c), (w, _) in zip(self.blocks, other.blocks))
+        elif self.s != other.s:
+            raise ValueError(f"point counts differ: {self.s} vs {other.s}")
+        else:  # two layouts of the same points: pair point by point
+            rest = sum(map(mul, self.expand().mults, other.expand().mults))
         return _quad(self.degree * other.degree - rest)
 
     def self_intersection(self) -> QuadNum:
@@ -388,11 +354,19 @@ class MultiplicityProfile:
         return _quad(sum(c * v for v, c in self.blocks) - 3 * self.degree)
 
     def defernex_value(self) -> RadicalSum:
+        """degree*sqrt(s-1) minus the multiplicities, from RadicalSum pieces
+        (rad, num, den) on squarefree radicands: only s-1 and
+        degree.rad*(s-1) are factored."""
         pieces = []
         for v, c in self.blocks:
             a, b, den = _ints(v)
             pieces += ((1, -c * a, den), (b and v.rad, -c * b, den))
-        return _defernex_value(self.degree, self.s, pieces)
+        s = self.s
+        a, b, den = _ints(self.degree)
+        for num, rad in ((a, s - 1), (b, b and self.degree.rad * (s - 1))):
+            if num:
+                pieces += _root_pieces(num, rad, den)
+        return RadicalSum._from_pieces(pieces)
 
     def defernex_sign(self) -> int:
         return self.defernex_value().sign()

@@ -343,16 +343,22 @@ def _triple(lam):
 
 
 def _assert_kernels_agree(m):
-    """Every eigenvalue's right and left kernels, integer against field."""
+    """The stored vectors of every eigenvalue and the left vector against
+    field elimination, and the integer kernel of every rational eigenvalue,
+    right and left, against it too."""
     deltas = set()
-    for e in eigen(m).eigenvalues:
-        lam, triple = e.value, _triple(e.value)
-        deltas.add(triple[2])
+    dec = eigen(m)
+    for i, e in enumerate(dec.eigenvalues):
+        lam = e.value
+        deltas.add(_triple(lam)[2])
         for transpose in (False, True):
-            ours = dynamics._kernel(dynamics._shifted(m, triple, transpose), lam.rad)
-            assert ours == _field_kernel(_field_shifted(m, lam, transpose)), (m.rows, lam, transpose)
-            if not transpose:  # the stored vectors, a conjugate pair's included, are this kernel
-                assert e.vectors == tuple(ours), (m.rows, lam)
+            field = _field_kernel(_field_shifted(m, lam, transpose))
+            if lam.is_rational:
+                assert dynamics._kernel(dynamics._shifted(m, lam.to_int(), transpose)) == field, (m.rows, lam)
+            if not transpose:  # the stored vectors, a conjugate pair's included
+                assert e.vectors == tuple(field), (m.rows, lam)
+            elif i == dec.dominant_index:
+                assert [dec.left_vector] == field, (m.rows, lam)
     return deltas
 
 
@@ -506,14 +512,14 @@ def test_elimination_runs_only_for_repeated_eigenvalues(monkeypatch):
     calls = []
     kernel = dynamics._kernel
 
-    def counting(rows, rad):
+    def counting(rows):
         calls.append(rows)
-        return kernel(rows, rad)
+        return kernel(rows)
 
     monkeypatch.setattr(dynamics, "_kernel", counting)
     repeated = simple = left = 0
     for m, dec in _decompositions():
-        expected = [dynamics._shifted(m, _triple(e.value)) for e in dec.eigenvalues if e.algebraic >= 2]
+        expected = [dynamics._shifted(m, e.value.to_int()) for e in dec.eigenvalues if e.algebraic >= 2]
         assert calls == expected, m.rows
         calls.clear()
         repeated += len(expected)
@@ -529,9 +535,8 @@ def test_left_vector_is_the_kernel_basis_vector():
             assert dec.left_vector is None
             continue
         lam = dec.dominant.value
-        triple = _triple(lam)
-        deltas.add(triple[2])
-        assert [dec.left_vector] == dynamics._kernel(dynamics._shifted(m, triple, True), lam.rad), m.rows
+        deltas.add(_triple(lam)[2])
+        assert [dec.left_vector] == _field_kernel(_field_shifted(m, lam, True)), m.rows
     assert deltas == {1, 2}
 
 

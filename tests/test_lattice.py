@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from morirays import (
     DivisorClass,
@@ -256,3 +256,90 @@ def test_pairings_of_integral_classes_return_quadnum():
               p.intersect(p), p.self_intersection(), p.canonical_pairing())
     assert all(type(v) is QuadNum for v in values)
     assert values == (16, 16, -10, 16, 16, -10)
+
+
+# -- point-wise oracles of the block calculus -----------------------------------
+
+
+@st.composite
+def block_pairs(draw):
+    """Two layouts' worth of data over one radicand: per-point coordinates of
+    two classes x and y, both constant on the blocks of `counts`."""
+    rad = draw(st.sampled_from([2, 3, 5, 6]))
+
+    def coord():
+        return QuadNum(draw(small_rationals), draw(st.sampled_from([0, 1, -2, Fraction(1, 3)])), rad)
+
+    counts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    sides = []
+    for _ in range(2):
+        values = [coord() for _ in counts]
+        sides.append((coord(), [v for v, c in zip(values, counts) for _ in range(c)]))
+    return sides, counts
+
+
+def _pointwise(x_degree, x_mults, y_degree, y_mults):
+    """d*d' - sum(m*m'), sum(m) - 3d and the pairing with F_s, one point at
+    a time."""
+    s = len(x_mults)
+    dot, k = x_degree * y_degree, -3 * x_degree
+    f = RadicalSum([(x_degree.a, s - 1), (x_degree.b, x_degree.rad * (s - 1))])
+    for m, n in zip(x_mults, y_mults):
+        dot, k, f = dot - m * n, k + m, f - m
+    return dot, k, f
+
+
+@given(block_pairs())
+def test_pairings_match_the_pointwise_formulas(data):
+    ((d, ms), (e, ns)), counts = data
+    dot, k, f = _pointwise(d, ms, e, ns)
+    square = _pointwise(d, ms, d, ms)[0]
+    x, y = DivisorClass(d, ms), DivisorClass(e, ns)
+    for a, b in ((x, y), (MultiplicityProfile.compress(x, counts), MultiplicityProfile.compress(y, counts))):
+        assert a.intersect(b) == dot
+        assert a.self_intersection() == square
+        assert a.canonical_pairing() == k
+        assert a.defernex_value() == f
+    # the canonical layout of y is in general not the drawn one
+    assert MultiplicityProfile.compress(x, counts).intersect(y.to_profile()) == dot
+
+
+def test_profile_intersect_pairs_two_layouts_of_the_same_points():
+    x = DivisorClass(QuadNum(1, 1, 2), [3, 3, 1, 1, 1, QuadNum(0, 1, 2)])
+    y = DivisorClass(5, [2, 1, 1, 1, 0, 0])
+    p, q = MultiplicityProfile.compress(x, (2, 3, 1)), MultiplicityProfile.compress(y, (1, 3, 2))
+    assert p.intersect(q) == q.intersect(p) == x.intersect(y) == QuadNum(-6, 5, 2)
+    # a different point count is refused as such, not by recursing
+    with pytest.raises(ValueError, match="point counts differ: 6 vs 5"):
+        p.intersect(MultiplicityProfile(1, [(1, 5)]))
+    with pytest.raises(ValueError, match="point counts differ: 6 vs 5"):
+        x.intersect(DivisorClass(1, [1] * 5))
+
+
+@example([(2, 3), (2, 1), (2, 2), (5, 1)], 2, 2)  # starts and ends inside blocks
+@example([(1, 2), (1, 2), (0, 3)], 1, 1)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4)), min_size=1, max_size=6),
+       st.integers(1, 3), st.integers(1, 12))
+def test_collide_matches_the_list_splice(blocks, point, r):
+    p = MultiplicityProfile(7, blocks)  # adjacent blocks may share a value
+    points = [v for v, c in blocks for _ in range(c)]
+    window = points[point - 1 : point - 1 + r * r]
+    for x in (p, p.expand()):
+        if point - 1 + r * r > len(points):
+            with pytest.raises(IndexError):
+                x.collide(point, r)
+        elif len(set(window)) > 1:
+            with pytest.raises(ShapeError):
+                x.collide(point, r)
+        else:
+            y = x.collide(point, r)
+            splice = points[: point - 1] + [window[0] * r] + points[point - 1 + r * r :]
+            assert y.degree == 7 and (y.expand() if x is p else y).mults == tuple(splice)
+    if point - 1 + r * r <= len(points) and len(set(window)) == 1:
+        # blocks wholly outside the window are kept as they are
+        ends = [sum(c for _, c in blocks[: i + 1]) for i in range(len(blocks))]
+        before = sum(e < point for e in ends)
+        after = sum(e - c >= point - 1 + r * r for e, (_, c) in zip(ends, blocks))
+        q = p.collide(point, r)
+        assert q.blocks[:before] == p.blocks[:before]
+        assert q.blocks[len(q.blocks) - after :] == p.blocks[len(p.blocks) - after :]
