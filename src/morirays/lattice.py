@@ -199,7 +199,7 @@ class DivisorClass:
         return self.to_profile().pretty()
 
     def to_profile(self) -> "MultiplicityProfile":
-        return self._profile().canonical()
+        return MultiplicityProfile.group(self)
 
     def __str__(self) -> str:
         return self.pretty()
@@ -279,7 +279,7 @@ class MultiplicityProfile:
     @classmethod
     def group(cls, divisor: DivisorClass) -> "MultiplicityProfile":
         """Run-length encode consecutive equal multiplicities."""
-        return divisor.to_profile()
+        return divisor._profile().canonical()
 
     def canonical(self) -> "MultiplicityProfile":
         """Merge adjacent equal-valued blocks: the one run-length encoding of

@@ -261,21 +261,9 @@ def test_pairings_of_integral_classes_return_quadnum():
 # -- point-wise oracles of the block calculus -----------------------------------
 
 
-@st.composite
-def block_pairs(draw):
-    """Two layouts' worth of data over one radicand: per-point coordinates of
-    two classes x and y, both constant on the blocks of `counts`."""
-    rad = draw(st.sampled_from([2, 3, 5, 6]))
-
-    def coord():
-        return QuadNum(draw(small_rationals), draw(st.sampled_from([0, 1, -2, Fraction(1, 3)])), rad)
-
-    counts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
-    sides = []
-    for _ in range(2):
-        values = [coord() for _ in counts]
-        sides.append((coord(), [v for v, c in zip(values, counts) for _ in range(c)]))
-    return sides, counts
+# (a, b) of a + b*sqrt(rad); built from ints, which draws faster than st.fractions
+quad_parts = st.tuples(st.builds(Fraction, small_ints, st.integers(1, 4)),
+                       st.sampled_from([0, 1, -2, Fraction(1, 3)]))
 
 
 def _pointwise(x_degree, x_mults, y_degree, y_mults):
@@ -289,9 +277,15 @@ def _pointwise(x_degree, x_mults, y_degree, y_mults):
     return dot, k, f
 
 
-@given(block_pairs())
-def test_pairings_match_the_pointwise_formulas(data):
-    ((d, ms), (e, ns)), counts = data
+@given(st.sampled_from([2, 3, 5, 6]), st.tuples(quad_parts, quad_parts),
+       st.lists(st.tuples(st.integers(1, 3), quad_parts, quad_parts), min_size=1, max_size=5))
+def test_pairings_match_the_pointwise_formulas(rad, degrees, blocks):
+    """Two classes over one radicand, constant on the same blocks: the block
+    formulas of both class types against the point-wise ones."""
+    d, e = (QuadNum(a, b, rad) for a, b in degrees)
+    ms = [QuadNum(*x, rad) for c, x, _ in blocks for _ in range(c)]
+    ns = [QuadNum(*y, rad) for c, _, y in blocks for _ in range(c)]
+    counts = [c for c, _, _ in blocks]
     dot, k, f = _pointwise(d, ms, e, ns)
     square = _pointwise(d, ms, d, ms)[0]
     x, y = DivisorClass(d, ms), DivisorClass(e, ns)
