@@ -42,33 +42,34 @@ class UsageError(Exception):
 
 
 # Python renders no int of more than 4300 digits as a string (the default of
-# sys.set_int_max_str_digits), so decimal displays stop there, or at the
-# interpreter's limit when that is lower.
+# sys.set_int_max_str_digits), so decimal displays and orbit coordinates stop
+# there, or at the interpreter's limit when that is lower.
 MAX_DIGITS = 4300
+# orbit and verify compute at most this many orbit terms.  A growing family
+# pencil orbit passes MAX_DIGITS digits first, by k = 6,318 at the latest
+# (even, n = 1); the pencil classes of the unipotent A_1 (odd, n = 1) never do,
+# and reduce in 4k steps, within cremona.MAX_REDUCTION_STEPS.
+MAX_K = 20000
+# 10 ** 4300 takes about 50 µs, and every orbit and verify call asks for it
+_power_of_ten = functools.cache((10).__pow__)
 
 
-def _int_str_limit() -> int:
-    """The interpreter's limit on the digits of an int rendered as text; 0
-    means no limit, and Python before 3.10.7 has no limit to read."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
-@functools.cache
-def _power_of_ten(digits: int) -> int:
-    return 10 ** digits
-
-
-def _orbit_bound() -> int | None:
-    """The least absolute value an output int cannot be rendered at, None
-    without a limit."""
-    limit = _int_str_limit()
-    return _power_of_ten(limit) if limit else None
+def _digit_limit() -> int:
+    """The most digits an output int may have: the interpreter's limit on
+    integer string conversion or MAX_DIGITS, whichever is lower.  A limit of
+    0 means none, and Python before 3.10.7 has none to read."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return min(limit, MAX_DIGITS) if limit else MAX_DIGITS
 
 
 def _too_large(k: int | str, e: OrbitSizeError) -> UsageError:
     return UsageError(f"--k {k} is too large: the output at k={e.k} would hold an integer of more than "
-                      f"{_int_str_limit()} digits, the interpreter's limit for integer string conversion "
+                      f"{_digit_limit()} digits, the interpreter's limit for integer string conversion "
                       f"(sys.get_int_max_str_digits())")
+
+
+def _too_many(k: int | str) -> UsageError:
+    return UsageError(f"--k {k} is too large: orbit and verify stop at k = {MAX_K}")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -259,9 +260,12 @@ def cmd_orbit(args) -> int:
         if len(seed) != 4:
             raise UsageError("seed needs exactly 4 entries: d,a,b,c")
     try:
-        orbit = iterate(families.shape_matrix(args.family, args.n), seed, args.k, _orbit_bound())
+        orbit = iterate(families.shape_matrix(args.family, args.n), seed, min(args.k, MAX_K),
+                        _power_of_ten(_digit_limit()))
     except OrbitSizeError as e:
         raise _too_large(args.k, e) from None
+    if args.k > MAX_K:
+        raise _too_many(args.k)
 
     if args.format == "json":
         text = _json_text({"family": args.family, "n": args.n, "orbit": orbit.to_json()})
@@ -348,11 +352,13 @@ def cmd_verify(args) -> int:
     if k_lo < 0:
         raise UsageError(f"--k must start at >= 0, got {k_lo}")
 
-    bound = _orbit_bound()
+    bound = _power_of_ten(_digit_limit())
     try:
         # the largest k of each n first: orbit rows grow with k, so a --k too
         # large is refused before the sweep
-        last = {n: verify.verify_good(name, n, k_hi, bound) for n in range(n_lo, n_hi + 1)}
+        last = {n: verify.verify_good(name, n, min(k_hi, MAX_K), bound) for n in range(n_lo, n_hi + 1)}
+        if k_hi > MAX_K:
+            raise _too_many(args.k)
         certs = [last[n] if k == k_hi else verify.verify_good(name, n, k, bound)
                  for n in range(n_lo, n_hi + 1) for k in range(k_lo, k_hi + 1)]
     except OrbitSizeError as e:
@@ -421,16 +427,8 @@ def cmd_pair(args) -> int:
         raise UsageError("pairing value mixes incompatible radicals") from None
 
     if args.format == "json":
-        text = _json_text(
-            {
-                "ray": f"{tag}:{n}",
-                "with": args.with_,
-                "value": value.to_json(),
-                "sign": sign,
-                "decimal": value.decimal(args.digits),
-                "decimal_note": "display only",
-            }
-        )
+        text = _json_text({"ray": f"{tag}:{n}", "with": args.with_,
+                           **verify.signed_value_json(value, sign, args.digits)})
     elif args.format == "csv":
         text = _csv_text(["ray", "with", "exact", "sign", "decimal (display only)"],
                          [[f"{tag}:{n}", args.with_, str(value), sign, value.decimal(args.digits)]])
@@ -524,10 +522,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.digits < 0:
             raise UsageError(f"--digits must be >= 0, got {args.digits}")
-        limit = _int_str_limit()
-        bound = min(MAX_DIGITS, limit) if limit else MAX_DIGITS
-        if args.digits > bound:
-            raise UsageError(f"--digits must be <= {bound}, got {args.digits}")
+        if args.digits > _digit_limit():
+            raise UsageError(f"--digits must be <= {_digit_limit()}, got {args.digits}")
         return args.func(args)
     except (UsageError, ValueError, SpectrumError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)

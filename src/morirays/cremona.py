@@ -381,7 +381,12 @@ class ReductionResult:
         }
 
 
-def cremona_reduce(x: DivisorClass, max_steps: int = 100000) -> ReductionResult:
+# the degree drops at every step, so every run ends; this stops one whose class
+# has so large a degree that it would take longer
+MAX_REDUCTION_STEPS = 100000
+
+
+def cremona_reduce(x: DivisorClass) -> ReductionResult:
     """Apply quadratic maps at the three largest multiplicities until the degree
     is at least their sum (ties broken toward lower indices).
 
@@ -400,7 +405,7 @@ def cremona_reduce(x: DivisorClass, max_steps: int = 100000) -> ReductionResult:
     s = x.s
     heap = [i - m * s for i, m in enumerate(mults)]
     heapify(heap)
-    for _ in range(max_steps):
+    for _ in range(MAX_REDUCTION_STEPS):
         i, j, k = sorted((heappop(heap) % s, heappop(heap) % s, heappop(heap) % s))
         if d >= mults[i] + mults[j] + mults[k]:
             reduced = DivisorClass(d, mults)
@@ -412,4 +417,4 @@ def cremona_reduce(x: DivisorClass, max_steps: int = 100000) -> ReductionResult:
         for p in (i, j, k):
             heappush(heap, p - mults[p] * s)
         steps.append((i + 1, j + 1, k + 1))
-    raise RuntimeError(f"reduction did not settle within {max_steps} steps")
+    raise RuntimeError(f"reduction did not settle within {MAX_REDUCTION_STEPS} steps")

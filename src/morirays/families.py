@@ -17,8 +17,8 @@ A row with a parent also names its good-ray sweep (`even`, `odd`, `sq4`,
 the parent, integer classes whose rays converge to the row's limit ray.  The
 two matrix rows carry the shape matrix, the three orbit invariants that a
 good-ray certificate checks on the parent orbit, and the word for its scaled
-pencil.  `WONDERFUL_TAGS`, `GOOD_TAGS`, `GOOD_PARENTS`, `GOOD_LIMITS`,
-`shape_matrix` and `surface_points` are views of the table.
+pencil.  `WONDERFUL_TAGS`, `GOOD_TAGS`, `GOOD_LIMITS`, `family`,
+`good_family`, `shape_matrix` and `surface_points` are views of the table.
 
 Pencil orbits and the good-ray families carry integer classes; the closed
 forms `wonderful_*` return the irrational limit rays in their conventional
@@ -237,8 +237,6 @@ FAMILIES = (
 
 WONDERFUL_TAGS = tuple(f.tag for f in FAMILIES)
 GOOD_TAGS = tuple(f.good for f in FAMILIES if f.good)
-# good family -> (pencil family tag, scale/uncollision order as a function of n)
-GOOD_PARENTS = {f.good: (f.parent, f.order) for f in FAMILIES if f.good}
 # good family -> limit ray family reached as k grows
 GOOD_LIMITS = {f.good: f.tag for f in FAMILIES if f.good}
 

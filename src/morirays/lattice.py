@@ -89,6 +89,15 @@ def _coord_from_json(data) -> Coord:
     return QuadNum.from_json(data)
 
 
+def _stored(cls: type, degree: Coord, rest: tuple):
+    """A DivisorClass or MultiplicityProfile whose `rest` (mults, or blocks
+    with positive counts) is already in stored form: nothing is normalized."""
+    x = object.__new__(cls)
+    object.__setattr__(x, "degree", degree)
+    object.__setattr__(x, cls.__slots__[1], rest)
+    return x
+
+
 class DivisorClass:
     """Exact divisor class (degree; m_1, ..., m_s)."""
 
@@ -117,12 +126,8 @@ class DivisorClass:
         return all(type(c) is int for c in self.coordinates())
 
     def _profile(self) -> "MultiplicityProfile":
-        """This class as one-point blocks; the stored coordinates pass through
-        without being normalized again, as in `MultiplicityProfile.expand`."""
-        p = object.__new__(MultiplicityProfile)
-        object.__setattr__(p, "degree", self.degree)
-        object.__setattr__(p, "blocks", tuple((m, 1) for m in self.mults))
-        return p
+        """This class as one-point blocks."""
+        return _stored(MultiplicityProfile, self.degree, tuple((m, 1) for m in self.mults))
 
     # -- intersection theory: the block formulas of MultiplicityProfile -------
 
@@ -251,15 +256,11 @@ class MultiplicityProfile:
         return tuple(v for v, _ in self.blocks)
 
     def expand(self) -> DivisorClass:
-        """The class on every point; the stored coordinates pass through
-        without being normalized again."""
+        """The class on every point."""
         mults: list[Coord] = []
         for v, c in self.blocks:
             mults += [v] * c
-        x = object.__new__(DivisorClass)
-        object.__setattr__(x, "degree", self.degree)
-        object.__setattr__(x, "mults", tuple(mults))
-        return x
+        return _stored(DivisorClass, self.degree, tuple(mults))
 
     @classmethod
     def compress(cls, divisor: DivisorClass, counts: Sequence[int]) -> "MultiplicityProfile":
@@ -290,7 +291,7 @@ class MultiplicityProfile:
                 blocks[-1] = (v, blocks[-1][1] + c)
             else:
                 blocks.append((v, c))
-        return MultiplicityProfile(self.degree, blocks)
+        return _stored(MultiplicityProfile, self.degree, tuple(blocks))
 
     def _locate(self, point: int) -> tuple[int, int]:
         if point < 1:
@@ -304,11 +305,11 @@ class MultiplicityProfile:
 
     def _splice(self, i: int, off: int, block: tuple, j: int, last: int) -> "MultiplicityProfile":
         """Replace the points from offset `off` of block i to offset `last` of
-        block j by one block."""
+        block j by one block, whose value is in stored form."""
         (v, _), (w, c) = self.blocks[i], self.blocks[j]
         head = [(v, off)] if off else []
         tail = [(w, c - last - 1)] if last + 1 < c else []
-        return MultiplicityProfile(self.degree, [*self.blocks[:i], *head, block, *tail, *self.blocks[j + 1 :]])
+        return _stored(MultiplicityProfile, self.degree, (*self.blocks[:i], *head, block, *tail, *self.blocks[j + 1 :]))
 
     def uncollide(self, point: int, r: int) -> "MultiplicityProfile":
         if r < 1:
@@ -328,7 +329,7 @@ class MultiplicityProfile:
         for v, _ in self.blocks[i + 1 : j + 1]:
             if v != value:
                 raise ShapeError(f"multiplicities {value} and {v} differ inside collision window")
-        return self._splice(i, off, (value * r, 1), j, last)
+        return self._splice(i, off, (_coord(value * r), 1), j, last)
 
     def scale(self, scalar) -> "MultiplicityProfile":
         c = _coord(scalar)

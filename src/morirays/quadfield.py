@@ -107,10 +107,11 @@ class QuadNum:
     only place a radicand is factored, and it passes the trivial radicands 0
     and 1 through without factoring.  Every other result comes from `_build`
     on the operands' radicand, which is already squarefree, so building only
-    divides out the content.  An operand of exact type int goes straight
-    into `_build` in `+`, `-`, `*` and the comparisons; any other operand,
-    bool included, is coerced to a QuadNum first.  `.a` and `.b` read the
-    rational parts as Fractions.
+    divides out the content.  `-` adds the negated operand and the
+    comparisons take the sign of the difference, so the sum is written once.
+    An operand of exact type int goes straight into `_build` in `+` and `*`;
+    any other operand that is not a QuadNum, bool included, is coerced to one
+    first, and only once.  `.a` and `.b` read the rational parts as Fractions.
     """
 
     __slots__ = ("_a", "_b", "_den", "rad")
@@ -197,7 +198,7 @@ class QuadNum:
     def __add__(self, other: QuadLike) -> "QuadNum":
         if type(other) is int:
             return _build(self._a + other * self._den, self._b, self._den, self.rad)
-        o = self._coerce(other)
+        o = other if isinstance(other, QuadNum) else self._coerce(other)
         if o is None:
             return NotImplemented
         n, d, e = self._join_rad(o), self._den, o._den
@@ -208,15 +209,8 @@ class QuadNum:
     __radd__ = __add__
 
     def __sub__(self, other: QuadLike) -> "QuadNum":
-        if type(other) is int:
-            return _build(self._a - other * self._den, self._b, self._den, self.rad)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n, d, e = self._join_rad(o), self._den, o._den
-        if d == e:
-            return _build(self._a - o._a, self._b - o._b, d, n)
-        return _build(self._a * e - o._a * d, self._b * e - o._b * d, d * e, n)
+        o = other if type(other) is int else self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other: QuadLike) -> "QuadNum":
         return (-self) + other
@@ -289,13 +283,10 @@ class QuadNum:
         return hash(self._a) if self._den == 1 else hash(Fraction(self._a, self._den))
 
     def _cmp(self, other: QuadLike) -> int:
-        if type(other) is int:
-            return _sign(self._a - other * self._den, self._b, self.rad)
-        o = self._coerce(other)
-        if o is None:
+        diff = self.__sub__(other)
+        if diff is NotImplemented:
             raise TypeError(f"cannot compare QuadNum with {type(other).__name__}")
-        n, d, e = self._join_rad(o), self._den, o._den
-        return _sign(self._a * e - o._a * d, self._b * e - o._b * d, n)
+        return diff.sign()
 
     def __lt__(self, other: QuadLike) -> bool:
         return self._cmp(other) < 0

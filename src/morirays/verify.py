@@ -44,6 +44,12 @@ class Check:
         return {"name": self.name, "statement": self.statement, "ok": self.ok}
 
 
+def signed_value_json(value: QuadNum | RadicalSum, sign: int, digits: int) -> dict:
+    """An exact value, its sign and its decimal to `digits` places (display only)."""
+    return {"value": value.to_json(), "sign": sign, "decimal": value.decimal(digits),
+            "decimal_note": "display only"}
+
+
 # -- pencil certificates -----------------------------------------------------------
 
 
@@ -52,10 +58,10 @@ class PencilCertificate:
     """Witness that a class is a Cremona transform of the pencil of lines
     through one point, hence dim of its m-th multiple is exactly m.
 
-    `nonnegative_throughout` documents the chain; it is not an independent
-    guard.  Every class along a chain of quadratic maps that ends at a line
-    pencil is a Cremona image of that pencil, hence nonnegative, so it cannot
-    be False once the endpoint and replay checks pass."""
+    The certificate is valid when `failure` names no failed condition.  The
+    sign guard `nonnegative_throughout` is implied by the others (every class
+    on a chain of quadratic maps that ends at a line pencil is a Cremona
+    image of it, hence nonnegative) and stays as a check on the recorded chain."""
 
     system: DivisorClass
     reduction: ReductionResult
@@ -65,12 +71,7 @@ class PencilCertificate:
 
     @property
     def valid(self) -> bool:
-        return (
-            self.reduction.is_reduced
-            and self.endpoint_is_line_pencil
-            and self.replay_ok
-            and self.nonnegative_throughout
-        )
+        return self.failure is None
 
     @property
     def failure(self) -> str | None:
@@ -311,12 +312,7 @@ class WonderfulReport:
             "ray": self.ray.to_json(),
             "checks": [c.to_json() for c in self.checks],
             "canonical_pairing": self.canonical_pairing.to_json(),
-            "defernex": {
-                "value": self.defernex_value.to_json(),
-                "sign": self.defernex_sign,
-                "decimal": self.defernex_value.decimal(12),
-                "decimal_note": "display only",
-            },
+            "defernex": signed_value_json(self.defernex_value, self.defernex_sign, 12),
             "irrationality": None
             if self.irrationality is None
             else {"coordinate": self.irrationality[0], "value": self.irrationality[1].to_json()},
@@ -375,21 +371,12 @@ def wonderful_report(family: str, n: int) -> WonderfulReport:
         )
         candidates.append((f"order-{r} split of the {src_tag} limit ray", "matches" if ok else "differs", ok))
         if family == "odd_plus":
-            # the other reading: split the odd limit ray instead; lives on a
-            # different number of points, recorded for the audit trail
+            # the other reading: split the odd limit ray instead; it lives on
+            # 2n+10 points, not 2n+11, recorded for the audit trail
             other = families.wonderful_profile("odd", n).uncollide(1, 2)
-            if other.s != display.s:
-                candidates.append(
-                    (
-                        "order-2 split of the odd limit ray",
-                        f"lives on {other.s} points, not {display.s}",
-                        False,
-                    )
-                )
-            else:
-                candidates.append(
-                    ("order-2 split of the odd limit ray", "compared exactly", Ray(other) == ray)
-                )
+            candidates.append(
+                ("order-2 split of the odd limit ray", f"lives on {other.s} points, not {display.s}", False)
+            )
         top = display.blocks[0][0]
         expected_canonical = (r * r - r) * top
         canonical_stmt = f"canonical pairing equals (r^2 - r) * top multiplicity > 0 with r = {r}"
@@ -443,13 +430,7 @@ class SignRow:
     value: RadicalSum
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "sign": self.sign,
-            "value": self.value.to_json(),
-            "decimal": self.value.decimal(12),
-            "decimal_note": "display only",
-        }
+        return {"n": self.n, **signed_value_json(self.value, self.sign, 12)}
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,21 @@ def test_digits_flag(capsys):
     assert len(tail12) > len(tail4)
 
 
+@pytest.mark.parametrize("tag", ["odd", "sq2"])
+def test_pair_reports_and_sign_rows_write_one_signed_value_block(capsys, tag):
+    report = verify.wonderful_report(tag, 3).to_json()["defernex"]
+    row = verify.defernex_sweep(tag, 3, 3).rows[0].to_json()
+    code, out, _ = run(capsys, "pair", "--ray", f"{tag}:3", "--with", "F", "--digits", "12", "--format", "json")
+    pair = json.loads(out)
+    assert code == 0 and row.pop("n") == 3 and pair.pop("ray") == f"{tag}:3" and pair.pop("with") == "F"
+    assert report == row == pair
+    assert report["decimal_note"] == "display only" and len(report["decimal"].partition(".")[2]) == 12
+    # pair renders its decimal to --digits, in every format
+    wide = json.loads(run(capsys, "pair", "--ray", f"{tag}:3", "--with", "F", "--digits", "30", "--format", "json")[1])
+    pretty = run(capsys, "pair", "--ray", f"{tag}:3", "--with", "F", "--digits", "30")[1]
+    assert len(wide["decimal"].partition(".")[2]) == 30 and f"~ {wide['decimal']} (display only)" in pretty
+
+
 @pytest.mark.parametrize("digits", ["-1", "-7"])
 @pytest.mark.parametrize("argv", [
     ["pair", "--ray", "odd:2", "--with", "F"],
@@ -513,3 +528,29 @@ def test_k_bound_follows_a_lower_interpreter_limit(capsys):
                  ["verify", "--family", "odd", "--n", "1", "--k", str(k_verify)]):
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0 and _longest_int(out) > 640
+
+
+# -- orbits that never reach the int string limit ----------------------------------
+
+
+@pytest.mark.parametrize("argv,env,reason", [
+    # A_1 is unipotent: its orbit grows only polynomially
+    (["orbit", "--family", "odd", "--n", "1", "--k", "3000000"], {}, "orbit and verify stop at k = 20000\n"),
+    (["verify", "--family", "even", "--n", "1", "--k", "2000000"], {}, "orbit and verify stop at k = 20000\n"),
+    # with the interpreter's limit off, orbit coordinates still stop at 4300 digits
+    (["orbit", "--family", "odd", "--n", "2", "--k", "200000"], {"PYTHONINTMAXSTRDIGITS": "0"},
+     f"the output at k=5617 would hold an integer of more than 4300 {LIMIT_MESSAGE}"),
+], ids=["unipotent-orbit", "unipotent-verify", "no-int-limit"])
+def test_huge_k_past_every_digit_bound_is_refused_in_time(argv, env, reason):
+    proc = subprocess.run([sys.executable, "-m", "morirays", *argv], capture_output=True, text=True,
+                          env={**_module_env(), **env}, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: --k {argv[-1]} is too large: {reason}"
+
+
+def test_k_at_the_term_cap_runs_on_a_unipotent_parent(capsys):
+    code, out, err = run(capsys, "orbit", "--family", "odd", "--n", "1", "--k", "20000", "--format", "csv")
+    assert (code, err) == (0, "") and out.splitlines()[-1] == "20000,2400040001,800040001,800040000,800000000"
+    # the even sweep's parent is A_1 here; its pencil reduction takes 4k steps, within the reducer's cap
+    code, out, err = run(capsys, "verify", "--family", "even", "--n", "1", "--k", "20000", "--format", "csv")
+    assert (code, err) == (0, "") and out.splitlines()[-1] == "1,20000,true,"

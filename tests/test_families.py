@@ -8,13 +8,13 @@ from morirays import QuadNum, Ray, shape_action
 from morirays.cremona import double_jonquieres_geiser, jonquieres_sturm
 from morirays.families import (
     GOOD_LIMITS,
-    GOOD_PARENTS,
     GOOD_TAGS,
     WONDERFUL_TAGS,
     alpha,
     beta,
     cg_homaloidal,
     even_shape_matrix,
+    good_family,
     good_profile,
     js_homaloidal,
     odd_shape_matrix,
@@ -168,8 +168,8 @@ def test_good_profiles_live_on_limit_surface(tag, n, k):
     g = good_profile(tag, n, k)
     assert g.s == surface_points(GOOD_LIMITS[tag], n)
     assert g.self_intersection() == 0
-    source, r_of = GOOD_PARENTS[tag]
-    r = r_of(n)
+    row = good_family(tag)
+    source, r = row.parent, row.order(n)
     base = pencil_profile(n, k) if source == "odd" else primed_pencil_profile(n, k)
     assert g.degree == r * base.degree
 

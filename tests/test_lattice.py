@@ -15,6 +15,7 @@ from morirays import (
     defernex_class,
     exceptional_class,
     is_line_pencil_up_to_permutation,
+    lattice,
     line_class,
     line_pencil_class,
     nagata_class,
@@ -247,6 +248,28 @@ def test_integral_coordinates_are_stored_as_int():
     assert half.mults[0] == QuadNum(Fraction(1, 2)) and type(half.mults[0]) is QuadNum
     assert type(half.collide(1, 2).mults[0]) is int
     assert type(DivisorClass(QuadNum(1, 1, 2), [1]).degree) is QuadNum
+
+
+def test_block_edits_on_stored_profiles_do_not_normalize_again(monkeypatch):
+    normalized = []
+    original = lattice._coord
+
+    def counting(x):
+        normalized.append(x)
+        return original(x)
+
+    half = QuadNum(Fraction(1, 2), 1, 3)
+    p = MultiplicityProfile(QuadNum(3, 2, 3), [(half, 4), (half, 1), (2, 3), (2, 2), (QuadNum(1), 1)])
+    monkeypatch.setattr(lattice, "_coord", counting)
+    assert p.canonical().blocks == ((half, 5), (2, 5), (1, 1))
+    assert p.uncollide(1, 2).blocks[:2] == ((half / 2, 4), (half, 3))
+    split = p.uncollide(6, 3)
+    assert split.blocks == ((half, 4), (half, 1), (QuadNum(Fraction(2, 3)), 9), (2, 2), (2, 2), (1, 1))
+    assert normalized == []
+    # collide normalizes its one new value: 3 * (2/3) is the int 2
+    back = split.collide(6, 3)
+    assert back.blocks == ((half, 4), (half, 1), (2, 1), (2, 2), (2, 2), (1, 1)) and type(back.blocks[2][0]) is int
+    assert normalized == [2]
 
 
 def test_pairings_of_integral_classes_return_quadnum():

@@ -27,6 +27,11 @@ def test_every_trace_target_binds_and_comes_off():
             owner = getattr(mods[mod], cls) if cls else mods[mod]
             bound = [wrapper for o, a, _, wrapper in sites if o is owner and a == attr]
             assert bound and vars(owner)[attr] is bound[0], f"{name}: {path}.{attr} did not bind"
+        # a name imported with `from ... import` is wrapped where the importer looks it up
+        names = set(t.site_names())
+        for site in ("cli.iterate", "cli.eigen", "verify.quadratic_map", "verify.cremona_reduce",
+                     "verify.iterate", "families.iterate"):
+            assert site in names, f"{site} did not bind"
     finally:
         t.uninstall()
     for owner, attr, original, _ in sites:
