@@ -52,20 +52,24 @@ MAX_DIGITS = 4300
 MAX_K = 20000
 # 10 ** 4300 takes about 50 µs, and every orbit and verify call asks for it
 _power_of_ten = functools.cache((10).__pow__)
+# the interpreter's limit on integer string conversion: 0 means none, and
+# Python before 3.10.7 has none to read
+_int_str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _digit_limit() -> int:
     """The most digits an output int may have: the interpreter's limit on
-    integer string conversion or MAX_DIGITS, whichever is lower.  A limit of
-    0 means none, and Python before 3.10.7 has none to read."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    integer string conversion or MAX_DIGITS, whichever is lower."""
+    limit = _int_str_limit()
     return min(limit, MAX_DIGITS) if limit else MAX_DIGITS
 
 
 def _too_large(k: int | str, e: OrbitSizeError) -> UsageError:
+    limit = _digit_limit()
+    whose = ("the interpreter's limit for integer string conversion (sys.get_int_max_str_digits())"
+             if limit == _int_str_limit() else "the program's own limit on output integers")
     return UsageError(f"--k {k} is too large: the output at k={e.k} would hold an integer of more than "
-                      f"{_digit_limit()} digits, the interpreter's limit for integer string conversion "
-                      f"(sys.get_int_max_str_digits())")
+                      f"{limit} digits, {whose}")
 
 
 def _too_many(k: int | str) -> UsageError:
@@ -85,22 +89,17 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _resolve_out(path: str | None) -> str | None:
-    if path is None or os.path.isabs(path):
-        return path
-    base = os.environ.get("MORIRAYS_OUTDIR")
-    return os.path.join(base, path) if base else path
-
-
 def _deliver(text: str, out: str | None) -> None:
+    """Write text to stdout, or to `out`; MORIRAYS_OUTDIR prefixes a relative `out`."""
     if out is None:
         sys.stdout.write(text)
-    else:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise UsageError(f"cannot write --out {out!r}: {e.strerror or e}") from None
+        return
+    out = os.path.join(os.environ.get("MORIRAYS_OUTDIR", ""), out)
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write --out {out!r}: {e.strerror or e}") from None
 
 
 def _json_text(obj) -> str:
@@ -210,7 +209,7 @@ def _build_matrix(kind: str, n: int | None) -> CharMatrix:
     raise UsageError(f"unknown matrix kind {kind!r}")
 
 
-def cmd_matrix(args) -> int:
+def cmd_matrix(args) -> tuple[str, int]:
     m = _build_matrix(args.kind, args.n)
     if not m.is_valid():
         raise UsageError(f"matrix {args.kind} failed validation")
@@ -237,14 +236,13 @@ def cmd_matrix(args) -> int:
             if expected is not None:
                 lines.append(f"matches closed form: {homaloidal_ok}")
         text = "\n".join(lines) + "\n"
-    _deliver(text, _resolve_out(args.out))
-    return 0 if (homaloidal_ok or not args.check_homaloidal) else 1
+    return text, 0 if (homaloidal_ok or not args.check_homaloidal) else 1
 
 
 # -- orbit --------------------------------------------------------------------------
 
 
-def cmd_orbit(args) -> int:
+def cmd_orbit(args) -> tuple[str, int]:
     if args.family not in ("odd", "even"):
         raise UsageError("orbit needs --family odd or even (the matrix families)")
     if args.n < 1:
@@ -275,8 +273,7 @@ def cmd_orbit(args) -> int:
         width = max(len(str(x)) for t in orbit.terms for x in t)
         lines = [f"k={k}  " + "  ".join(str(x).rjust(width) for x in t) for k, t in enumerate(orbit.terms)]
         text = "\n".join(lines) + "\n"
-    _deliver(text, _resolve_out(args.out))
-    return 0
+    return text, 0
 
 
 # -- eigenray -----------------------------------------------------------------------
@@ -291,7 +288,7 @@ def _family_tag(name: str) -> str:
                      f"or {', '.join(f.alias for f in families.FAMILIES)}")
 
 
-def cmd_eigenray(args) -> int:
+def cmd_eigenray(args) -> tuple[str, int]:
     tag = _family_tag(args.family)
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
@@ -311,7 +308,7 @@ def cmd_eigenray(args) -> int:
             "surface_points": display.s,
             "shape": list(matrix.counts),
             "matrix": matrix.to_json(),
-            "char_poly": [[c.numerator, c.denominator] for c in dec.char_poly],
+            "char_poly": [[c, 1] for c in dec.char_poly],
             "eigenvalues": [e.to_json() for e in dec.eigenvalues],
             "display": display.to_json(),
             "dominant_ray": ray.to_json(),
@@ -332,14 +329,13 @@ def cmd_eigenray(args) -> int:
             lines.append(f"  eigenvalue {e.value} ~ {e.value.decimal(args.digits)} (display only), "
                          f"mult {e.algebraic}{mark}")
         text = "\n".join(lines) + "\n"
-    _deliver(text, _resolve_out(args.out))
-    return 0
+    return text, 0
 
 
 # -- verify -------------------------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
     # a good sweep is also named by the tag of its limit family
     name = next((f.good for f in families.FAMILIES if f.good and args.family in (f.good, f.tag)), None)
     if name is None:
@@ -396,14 +392,13 @@ def cmd_verify(args) -> int:
             lines.append(f"bound chain: {len(table.bounds)} checks, {'all hold' if not bad else f'{len(bad)} FAILED'}")
         lines.append("RESULT: " + ("all certificates valid" if ok else f"failures at {failing}"))
         text = "\n".join(lines) + "\n"
-    _deliver(text, _resolve_out(args.out))
-    return 0 if ok else 1
+    return text, 0 if ok else 1
 
 
 # -- pair ---------------------------------------------------------------------------
 
 
-def cmd_pair(args) -> int:
+def cmd_pair(args) -> tuple[str, int]:
     name, sep, idx = args.ray.partition(":")
     if not sep:
         raise UsageError(f"bad ray spec {args.ray!r}; expected NAME:n, e.g. Wplus_sq2:1")
@@ -436,8 +431,7 @@ def cmd_pair(args) -> int:
         text = (f"{tag}:{n} . {args.with_} = {value}\n"
                 f"  sign: {sign:+d}\n"
                 f"  ~ {value.decimal(args.digits)} (display only)\n")
-    _deliver(text, _resolve_out(args.out))
-    return 0
+    return text, 0
 
 
 # -- entry point ---------------------------------------------------------------------
@@ -458,10 +452,10 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     sub = p.add_subparsers(dest="command", required=True)
     commands: dict[str, argparse.ArgumentParser] = {}
 
-    def common(sp, digits_default=10):
+    def common(sp):
         sp.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
         sp.add_argument("--out", help="write output to this path (MORIRAYS_OUTDIR prefixes relative paths)")
-        sp.add_argument("--digits", type=int, default=digits_default, help="decimal display digits")
+        sp.add_argument("--digits", type=int, default=10, help="decimal display digits")
 
     sp = commands["matrix"] = sub.add_parser("matrix", help="print a generator or composite matrix")
     sp.add_argument("--kind", required=True, choices=("Q", "S", "G", "B", "J", "C", "JS", "CG"))
@@ -524,7 +518,9 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(f"--digits must be >= 0, got {args.digits}")
         if args.digits > _digit_limit():
             raise UsageError(f"--digits must be <= {_digit_limit()}, got {args.digits}")
-        return args.func(args)
+        text, code = args.func(args)
+        _deliver(text, args.out)
+        return code
     except (UsageError, ValueError, SpectrumError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

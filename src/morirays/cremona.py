@@ -16,6 +16,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .lattice import DivisorClass, ShapeError, is_line_pencil_up_to_permutation
+from .quadfield import _Frozen
 
 
 def _mat_vec(rows: tuple[tuple[int, ...], ...], vec: Sequence) -> tuple:
@@ -27,7 +28,7 @@ def _mat_vec(rows: tuple[tuple[int, ...], ...], vec: Sequence) -> tuple:
     return tuple([sum(map(mul, row, vec)) for row in rows])
 
 
-class _IntMatrix:
+class _IntMatrix(_Frozen):
     """Immutable square integer matrix, stored as a tuple of row tuples.
 
     Subclasses say what the basis means: `_shape()` is what two matrices must
@@ -44,9 +45,6 @@ class _IntMatrix:
         if any(not isinstance(x, int) for r in rows for x in r):
             raise TypeError("entries must be integers")
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _with_rows(self, rows):
         return type(self)(rows)
@@ -169,8 +167,11 @@ def compose(m1: CharMatrix, m2: CharMatrix) -> CharMatrix:
     return m1 @ m2
 
 
-def _embed(local: Sequence[Sequence[int]], points: Sequence[int], s: int) -> CharMatrix:
+def _embed(local: Sequence[Sequence[int]], points: Sequence[int], s: int | None) -> CharMatrix:
+    """`local` at (H, E_p for p in points), the identity elsewhere; s defaults to the largest point."""
     points = tuple(points)
+    if s is None:
+        s = max(points)
     if len(set(points)) != len(points):
         raise ValueError(f"repeated base points: {points}")
     if points and not (1 <= min(points) and max(points) <= s):
@@ -185,11 +186,12 @@ def _embed(local: Sequence[Sequence[int]], points: Sequence[int], s: int) -> Cha
     return CharMatrix(rows)
 
 
-def _homogeneous(points: Sequence[int], s: int | None, d: int, mu: int, diag: int, off: int) -> CharMatrix:
+def _homogeneous(name: str, p: int, points: Sequence[int], s: int | None,
+                 d: int, mu: int, diag: int, off: int) -> CharMatrix:
+    """The `name` map at p points: net L_d(mu^p), E-block diag on the diagonal, off elsewhere."""
     points = tuple(points)
-    if s is None:
-        s = max(points)
-    p = len(points)
+    if len(points) != p:
+        raise ValueError(f"{name} map needs {p} points, got {len(points)}")
     local = [[d] + [mu] * p]
     for i in range(1, p + 1):
         local.append([-mu] + [diag if i == j else off for j in range(1, p + 1)])
@@ -198,30 +200,22 @@ def _homogeneous(points: Sequence[int], s: int | None, d: int, mu: int, diag: in
 
 def quadratic_map(points: Sequence[int], s: int | None = None) -> CharMatrix:
     """Degree-2 involution based at three points; net L_2(1, 1, 1)."""
-    if len(points) != 3:
-        raise ValueError(f"quadratic map needs 3 points, got {len(points)}")
-    return _homogeneous(points, s, 2, 1, 0, -1)
+    return _homogeneous("quadratic", 3, points, s, 2, 1, 0, -1)
 
 
 def sturm_map(points: Sequence[int], s: int | None = None) -> CharMatrix:
     """Degree-5 involution based at six points; net L_5(2^6)."""
-    if len(points) != 6:
-        raise ValueError(f"sturm map needs 6 points, got {len(points)}")
-    return _homogeneous(points, s, 5, 2, 0, -1)
+    return _homogeneous("sturm", 6, points, s, 5, 2, 0, -1)
 
 
 def geiser_map(points: Sequence[int], s: int | None = None) -> CharMatrix:
     """Degree-8 involution based at seven points; net L_8(3^7)."""
-    if len(points) != 7:
-        raise ValueError(f"geiser map needs 7 points, got {len(points)}")
-    return _homogeneous(points, s, 8, 3, -2, -1)
+    return _homogeneous("geiser", 7, points, s, 8, 3, -2, -1)
 
 
 def bertini_map(points: Sequence[int], s: int | None = None) -> CharMatrix:
     """Degree-17 involution based at eight points; net L_17(6^8)."""
-    if len(points) != 8:
-        raise ValueError(f"bertini map needs 8 points, got {len(points)}")
-    return _homogeneous(points, s, 17, 6, -3, -2)
+    return _homogeneous("bertini", 8, points, s, 17, 6, -3, -2)
 
 
 def jonquieres_map(n: int, points: Sequence[int], s: int | None = None) -> CharMatrix:
@@ -234,8 +228,6 @@ def jonquieres_map(n: int, points: Sequence[int], s: int | None = None) -> CharM
         raise ValueError(f"need n >= 1, got {n}")
     if len(points) != 2 * n + 1:
         raise ValueError(f"jonquieres of order {n} needs {2 * n + 1} points, got {len(points)}")
-    if s is None:
-        s = max(points)
     p = 2 * n + 1
     local = [[1 + n, n] + [1] * (2 * n), [-n, 1 - n] + [-1] * (2 * n)]
     for i in range(2, p + 1):
@@ -251,8 +243,6 @@ def double_jonquieres_map(n: int, points: Sequence[int], s: int | None = None) -
         raise ValueError(f"need n >= 1, got {n}")
     if len(points) != 2 * n + 2:
         raise ValueError(f"double jonquieres of order {n} needs {2 * n + 2} points, got {len(points)}")
-    if s is None:
-        s = max(points)
     p = 2 * n + 2
     local = [
         [1 + n * n, n * n - n] + [n] * (2 * n + 1),

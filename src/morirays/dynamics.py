@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .cremona import ShapeMatrix
 from .lattice import DivisorClass, MultiplicityProfile, _ints, _is_rational, _quad
-from .quadfield import MixedRadicandError, QuadNum, _build, split_square
+from .quadfield import MixedRadicandError, QuadNum, _build, _Frozen, split_square
 
 
 class SpectrumError(ValueError):
@@ -146,8 +146,6 @@ def _kernel(rows: list[list[int]]) -> list[tuple[QuadNum, ...]]:
             R[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == n:
-            break
     basis = []
     for fc in (c for c in range(m) if c not in pivots):
         v = [_Q0] * m
@@ -231,13 +229,6 @@ class EigenDecomposition:
                     return False
         return True
 
-    def to_json(self) -> dict:
-        return {
-            "char_poly": [[c.numerator, c.denominator] for c in self.char_poly],
-            "eigenvalues": [e.to_json() for e in self.eigenvalues],
-            "dominant_index": self.dominant_index,
-        }
-
 
 def eigen(m: ShapeMatrix) -> EigenDecomposition:
     """Exact spectrum; supports any number of rational eigenvalues plus at most
@@ -298,7 +289,7 @@ def eigen(m: ShapeMatrix) -> EigenDecomposition:
 # -- rays -------------------------------------------------------------------------
 
 
-class Ray:
+class Ray(_Frozen):
     """Half-line of divisor classes, stored canonically on multiplicity blocks.
 
     Canonical form: divide by the absolute value of the first nonzero
@@ -322,9 +313,6 @@ class Ray:
         p = p.scale(_quad(abs(lead)).inverse())
         denom = lcm(*(_ints(c)[2] for c in (p.degree,) + p.values))
         object.__setattr__(self, "rep", p.scale(denom).canonical())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ray is immutable")
 
     @classmethod
     def from_profile(cls, p: MultiplicityProfile) -> "Ray":

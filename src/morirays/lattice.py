@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-from .quadfield import QuadNum, RadicalSum, _build, _root_pieces
+from .quadfield import QuadNum, RadicalSum, _build, _Frozen, _root_pieces
 
 Coord = "int | QuadNum"
 
@@ -98,7 +98,7 @@ def _stored(cls: type, degree: Coord, rest: tuple):
     return x
 
 
-class DivisorClass:
+class DivisorClass(_Frozen):
     """Exact divisor class (degree; m_1, ..., m_s)."""
 
     __slots__ = ("degree", "mults")
@@ -106,9 +106,6 @@ class DivisorClass:
     def __init__(self, degree, mults: Iterable):
         object.__setattr__(self, "degree", _coord(degree))
         object.__setattr__(self, "mults", tuple(map(_coord, mults)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DivisorClass is immutable")
 
     @property
     def s(self) -> int:
@@ -228,7 +225,7 @@ class DivisorClass:
         return cls(_coord_from_json(data["degree"]), [_coord_from_json(m) for m in data["mults"]])
 
 
-class MultiplicityProfile:
+class MultiplicityProfile(_Frozen):
     """Divisor class with run-length encoded multiplicities: L_d(v1^c1, v2^c2, ...)."""
 
     __slots__ = ("degree", "blocks")
@@ -239,9 +236,6 @@ class MultiplicityProfile:
             raise ValueError(f"block counts must be positive: {blocks}")
         object.__setattr__(self, "degree", _coord(degree))
         object.__setattr__(self, "blocks", blocks)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiplicityProfile is immutable")
 
     @property
     def s(self) -> int:
@@ -294,11 +288,9 @@ class MultiplicityProfile:
         return _stored(MultiplicityProfile, self.degree, tuple(blocks))
 
     def _locate(self, point: int) -> tuple[int, int]:
-        if point < 1:
-            raise IndexError(f"point {point} out of range 1..{self.s}")
         pos = 1
         for i, (_, c) in enumerate(self.blocks):
-            if point < pos + c:
+            if 1 <= point < pos + c:
                 return i, point - pos
             pos += c
         raise IndexError(f"point {point} out of range 1..{self.s}")

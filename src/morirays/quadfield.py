@@ -97,7 +97,17 @@ def _sign(a: int, b: int, rad: int) -> int:
     return (1 if t > 0 else -1) if a > 0 else (-1 if t > 0 else 1)
 
 
-class QuadNum:
+class _Frozen:
+    """Base of the immutable value classes: constructors set the slots through
+    object.__setattr__, and any later assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class QuadNum(_Frozen):
     """Element (a + b*sqrt(rad))/den of a real quadratic field, stored as the
     four ints `_a`, `_b`, `_den` and `rad`.
 
@@ -128,9 +138,6 @@ class QuadNum:
             # sqrt(rad) is rational (or irrelevant): fold it into a
             return _build(an * bd + bn * f * m * ad, 0, ad * bd, 1)
         return _build(an * bd, bn * f * ad, ad * bd, m)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("QuadNum is immutable")
 
     @classmethod
     def sqrt(cls, n: RationalLike) -> "QuadNum":
@@ -416,7 +423,7 @@ def _pieces(x: object) -> "Iterable[Piece] | None":
     return None if p is None else ((1, p[0], p[1]),)
 
 
-class RadicalSum:
+class RadicalSum(_Frozen):
     """Finite sum q0 + q1*sqrt(N1) + q2*sqrt(N2) + ... with rational qi.
 
     Stored as ints: `_nums` holds the (radicand, numerator) pairs with a
@@ -445,9 +452,6 @@ class RadicalSum:
         out = RadicalSum._from_pieces(pieces)
         object.__setattr__(self, "_nums", out._nums)
         object.__setattr__(self, "_den", out._den)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RadicalSum is immutable")
 
     @classmethod
     def _from_pieces(cls, pieces: Iterable[Piece]) -> "RadicalSum":

@@ -221,7 +221,7 @@ class GoodRayCertificate:
 
     @property
     def valid(self) -> bool:
-        return all(c.ok for c in self.checks) and self.emptiness.valid
+        return not self.failures
 
     @property
     def failures(self) -> tuple[Check, ...]:
@@ -297,7 +297,7 @@ class WonderfulReport:
 
     @property
     def valid(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return not self.failures
 
     @property
     def failures(self) -> tuple[Check, ...]:

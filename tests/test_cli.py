@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, determinism, round-trips."""
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import morirays
-from morirays import CharMatrix, DivisorClass, MultiplicityProfile, RadicalSum, Ray, dynamics, families, verify
+from morirays import (CharMatrix, DivisorClass, MultiplicityProfile, RadicalSum, Ray, ShapeMatrix, dynamics, families,
+                      verify)
 from morirays.cli import _parse, build_parser, main
 from morirays.dynamics import char_poly
 
@@ -105,6 +107,8 @@ def test_eigenray_json_round_trip(capsys):
     ray = Ray(DivisorClass.from_json(data["dominant_ray"]["class"]))
     assert not ray.is_rational
     assert data["certificate"]["converges"] is True
+    # the integer coefficients, each written as a [numerator, denominator] pair
+    assert data["char_poly"] == [[c, 1] for c in char_poly(ShapeMatrix.from_json(data["matrix"]))]
 
 
 def test_eigenray_rejects_unknown_family(capsys):
@@ -125,6 +129,16 @@ def test_verify_success(capsys):
     assert "sq4 n=1 k=1: good (R2_PENCIL)" in out
     assert "sq4 n=2 k=1: good (R3_PENCIL)" in out
     assert "all certificates valid" in out
+
+
+def test_verify_prints_the_sq2_bound_chain(capsys, monkeypatch):
+    code, out, _ = run(capsys, "verify", "--family", "sq2", "--n", "1..2", "--k", "1")
+    assert code == 0 and "\nbound chain: 10 checks, all hold\nRESULT: all certificates valid\n" in out
+    honest = verify.sq2_bound_chain
+    monkeypatch.setattr(verify, "sq2_bound_chain",
+                        lambda n: (dataclasses.replace(honest(n)[0], ok=False),) + honest(n)[1:])
+    code, out, _ = run(capsys, "verify", "--family", "sq2", "--n", "1..2", "--k", "1")
+    assert code == 1 and "\nbound chain: 10 checks, 2 FAILED\nRESULT: failures at []\n" in out
 
 
 def test_verify_alias_and_json(capsys):
@@ -533,14 +547,19 @@ def test_k_bound_follows_a_lower_interpreter_limit(capsys):
 # -- orbits that never reach the int string limit ----------------------------------
 
 
+OWN_LIMIT_MESSAGE = ("the output at k=5617 would hold an integer of more than 4300 digits, the program's own limit "
+                     "on output integers\n")
+
+
 @pytest.mark.parametrize("argv,env,reason", [
     # A_1 is unipotent: its orbit grows only polynomially
     (["orbit", "--family", "odd", "--n", "1", "--k", "3000000"], {}, "orbit and verify stop at k = 20000\n"),
     (["verify", "--family", "even", "--n", "1", "--k", "2000000"], {}, "orbit and verify stop at k = 20000\n"),
-    # with the interpreter's limit off, orbit coordinates still stop at 4300 digits
-    (["orbit", "--family", "odd", "--n", "2", "--k", "200000"], {"PYTHONINTMAXSTRDIGITS": "0"},
-     f"the output at k=5617 would hold an integer of more than 4300 {LIMIT_MESSAGE}"),
-], ids=["unipotent-orbit", "unipotent-verify", "no-int-limit"])
+    # with the interpreter's limit off or above 4300, orbit coordinates still stop at
+    # 4300 digits, and the refusal names the program's own limit
+    (["orbit", "--family", "odd", "--n", "2", "--k", "200000"], {"PYTHONINTMAXSTRDIGITS": "0"}, OWN_LIMIT_MESSAGE),
+    (["orbit", "--family", "odd", "--n", "2", "--k", "200000"], {"PYTHONINTMAXSTRDIGITS": "10000"}, OWN_LIMIT_MESSAGE),
+], ids=["unipotent-orbit", "unipotent-verify", "no-int-limit", "raised-int-limit"])
 def test_huge_k_past_every_digit_bound_is_refused_in_time(argv, env, reason):
     proc = subprocess.run([sys.executable, "-m", "morirays", *argv], capture_output=True, text=True,
                           env={**_module_env(), **env}, timeout=10)

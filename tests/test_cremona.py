@@ -8,6 +8,9 @@ from hypothesis import given, strategies as st
 from morirays import (
     CharMatrix,
     DivisorClass,
+    QuadNum,
+    RadicalSum,
+    Ray,
     ShapeError,
     ShapeMatrix,
     bertini_map,
@@ -263,6 +266,12 @@ def test_char_and_shape_matrices_never_mix():
         a @ c
 
 
+@pytest.mark.parametrize("x", [DivisorClass(2, []), DivisorClass(2, [3]), DivisorClass(1, [5, 7])])
+def test_reduce_returns_a_class_on_fewer_than_three_points_unchanged(x):
+    r = cremona_reduce(x)
+    assert (r.start, r.reduced, r.steps, r.is_reduced) == (x, x, (), True)
+
+
 def test_matrix_products_need_matching_sizes_or_shapes():
     with pytest.raises(ValueError, match="sizes differ: 3 vs 4"):
         quadratic_map((1, 2, 3), 3) @ quadratic_map((1, 2, 3), 4)
@@ -273,11 +282,49 @@ def test_matrix_products_need_matching_sizes_or_shapes():
 
 
 def test_matrices_are_immutable():
-    for m, name in ((CharMatrix(Q_ROWS), "CharMatrix"), (ShapeMatrix(Q_ROWS, (1, 1, 1)), "ShapeMatrix")):
-        with pytest.raises(AttributeError, match=f"{name} is immutable"):
-            m.rows = ((1,),)
-        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+    """The matrices and every other value class: a stored slot or a new
+    attribute cannot be assigned, and no instance carries a __dict__."""
+    values = (
+        (CharMatrix(Q_ROWS), "CharMatrix", "rows"),
+        (ShapeMatrix(Q_ROWS, (1, 1, 1)), "ShapeMatrix", "rows"),
+        (QuadNum(1, 1, 2), "QuadNum", "rad"),
+        (RadicalSum([(1, 2), (1, 3)]), "RadicalSum", "_den"),
+        (DivisorClass(3, [1, 1]), "DivisorClass", "degree"),
+        (MultiplicityProfile(3, [(1, 2)]), "MultiplicityProfile", "blocks"),
+        (Ray(DivisorClass(3, [1, 1])), "Ray", "rep"),
+    )
+    for m, name, slot in values:
+        before = getattr(m, slot)
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(m, slot, ((1,),))
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
             m.extra = 1
+        assert getattr(m, slot) is before and not hasattr(m, "__dict__")
+
+
+@pytest.mark.parametrize("build,name,p", [
+    (quadratic_map, "quadratic", 3), (sturm_map, "sturm", 6), (geiser_map, "geiser", 7), (bertini_map, "bertini", 8),
+])
+def test_homogeneous_builders_refuse_a_wrong_point_count(build, name, p):
+    for count in (0, p - 1, p + 1):
+        with pytest.raises(ValueError, match=f"^{name} map needs {p} points, got {count}$"):
+            build(range(1, count + 1), 10)
+        with pytest.raises(ValueError, match=f"^{name} map needs {p} points, got {count}$"):
+            build(range(1, count + 1))
+
+
+@pytest.mark.parametrize("build,points", [
+    (quadratic_map, (5, 2, 4)),
+    (sturm_map, (7, 1, 2, 3, 5, 6)),
+    (geiser_map, range(3, 10)),
+    (bertini_map, (9, 1, 2, 3, 4, 5, 6, 8)),
+    (lambda points, s=None: jonquieres_map(2, points, s), (6, 1, 2, 3, 4)),
+    (lambda points, s=None: double_jonquieres_map(1, points, s), (2, 5, 3, 1)),
+])
+def test_builders_default_s_to_the_largest_base_point(build, points):
+    m = build(points)
+    assert m == build(points, max(points)) and m.s == max(points)
+    assert m.is_valid()
 
 
 perms = st.permutations(list(range(1, 7)))

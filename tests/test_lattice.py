@@ -118,8 +118,11 @@ def test_collide_errors():
         DivisorClass(6, [2, 2, 2, 1], ).collide(1, 2)
     with pytest.raises(IndexError):
         DivisorClass(6, [2, 2, 2]).collide(1, 2)
-    with pytest.raises(IndexError):
-        DivisorClass(6, [2, 2, 2]).uncollide(4, 2)
+    x = DivisorClass(6, [2, 2, 2])
+    for y in (x, x.to_profile()):
+        for point in (4, 0, -1):
+            with pytest.raises(IndexError, match=f"^point {point} out of range 1..3$"):
+                y.uncollide(point, 2)
     with pytest.raises(ValueError):
         DivisorClass(6, [2, 2, 2]).uncollide(1, 0)
 

@@ -139,11 +139,39 @@ def test_replay_checks_signs_between_the_ends(monkeypatch):
     assert not cert.nonnegative_throughout and not cert.valid
 
 
+def test_good_certificate_fails_on_a_forged_pencil_reduction(monkeypatch):
+    honest = verify_good("odd", 2, 1)
+    _forge(monkeypatch, lambda x, red: dataclasses.replace(red, steps=red.steps[:-1]))
+    cert = verify_good("odd", 2, 1)
+    assert cert.checks == honest.checks and all(c.ok for c in cert.checks)
+    assert not cert.pencil.replay_ok and not cert.valid and not cert.emptiness.valid
+    assert cert.failures[-1] == verify.Check("pencil", "replay of the recorded quadratic maps diverged", False)
+    assert [c.name for c in cert.failures[:-1]] == [c.name for c in cert.emptiness.inequalities if not c.ok]
+    assert cert.to_json()["valid"] is False
+    # the pencil alone refuses a certificate whose other checks all hold
+    alone = dataclasses.replace(cert, emptiness=dataclasses.replace(cert.emptiness, inequalities=()))
+    assert alone.failures == cert.failures[-1:] and not alone.valid
+
+
 @pytest.mark.parametrize("step", [(1, 1, 2), (0, 1, 2), (1, 2, 13)])
 def test_replay_rejects_malformed_steps(monkeypatch, step):
     _forge(monkeypatch, lambda x, red: dataclasses.replace(red, steps=red.steps + (step,)))
     with pytest.raises(ValueError, match="not three distinct points in 1..12"):
         certify_pencil(primed_pencil_profile(2, 1).expand())
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 2), (3, 3)])
+def test_verify_good_refuses_a_bound_its_scaled_entries_reach(n, k):
+    # sq2 splits to order r = n + 2 >= 3, so r*d reaches a bound one past the
+    # largest orbit coordinate while the orbit itself stays below it
+    parent = families.family(families.good_family("sq2").parent)
+    terms = dynamics.iterate(parent.matrix(n), families.PENCIL_SEED, k).terms
+    bound = max(abs(x) for t in terms for x in t) + 1
+    assert dynamics.iterate(parent.matrix(n), families.PENCIL_SEED, k, bound).terms == terms
+    with pytest.raises(dynamics.OrbitSizeError) as info:
+        verify_good("sq2", n, k, bound)
+    assert info.value.k == k
+    assert verify_good("sq2", n, k, 10 * bound * (n + 2)).valid
 
 
 @pytest.mark.parametrize("family,n,k,rule", RULES)
