@@ -183,30 +183,31 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 # -- matrix -------------------------------------------------------------------------
 
 
+# Each --kind: whether it takes --n, its matrix at n, and the closed form of
+# its homaloidal net at n, if there is one.  The map builders are looked up
+# when called, so a wrapper bound to their names in this module is used.
+_KINDS = {
+    "Q": (False, lambda n: quadratic_map(range(1, 4)), None),
+    "S": (False, lambda n: sturm_map(range(1, 7)), None),
+    "G": (False, lambda n: geiser_map(range(1, 8)), None),
+    "B": (False, lambda n: bertini_map(range(1, 9)), None),
+    "J": (True, lambda n: jonquieres_map(n, range(1, 2 * n + 2)), None),
+    "C": (True, lambda n: double_jonquieres_map(n, range(1, 2 * n + 3)), None),
+    "JS": (True, lambda n: jonquieres_sturm(n), lambda n: families.js_homaloidal(n)),
+    "CG": (True, lambda n: double_jonquieres_geiser(n), lambda n: families.cg_homaloidal(n)),
+}
+
+
 def _build_matrix(kind: str, n: int | None) -> CharMatrix:
-    fixed = {
-        "Q": lambda: quadratic_map((1, 2, 3), 3),
-        "S": lambda: sturm_map(tuple(range(1, 7)), 6),
-        "G": lambda: geiser_map(tuple(range(1, 8)), 7),
-        "B": lambda: bertini_map(tuple(range(1, 9)), 8),
-    }
-    if kind in fixed:
+    takes_n, build, _ = _KINDS[kind]
+    if not takes_n:
         if n is not None:
             raise UsageError(f"--n does not apply to kind {kind}")
-        return fixed[kind]()
-    if n is None:
+    elif n is None:
         raise UsageError(f"kind {kind} needs --n")
-    if n < 1:
+    elif n < 1:
         raise UsageError(f"--n must be >= 1, got {n}")
-    if kind == "J":
-        return jonquieres_map(n, tuple(range(1, 2 * n + 2)), 2 * n + 1)
-    if kind == "C":
-        return double_jonquieres_map(n, tuple(range(1, 2 * n + 3)), 2 * n + 2)
-    if kind == "JS":
-        return jonquieres_sturm(n)
-    if kind == "CG":
-        return double_jonquieres_geiser(n)
-    raise UsageError(f"unknown matrix kind {kind!r}")
+    return build(n)
 
 
 def cmd_matrix(args) -> tuple[str, int]:
@@ -214,11 +215,8 @@ def cmd_matrix(args) -> tuple[str, int]:
     if not m.is_valid():
         raise UsageError(f"matrix {args.kind} failed validation")
     net = m.homaloidal_net()
-    expected = None
-    if args.kind == "JS" and args.n is not None:
-        expected = families.js_homaloidal(args.n).expand()
-    elif args.kind == "CG" and args.n is not None:
-        expected = families.cg_homaloidal(args.n).expand()
+    closed_form = _KINDS[args.kind][2]
+    expected = None if closed_form is None else closed_form(args.n).expand()
     homaloidal_ok = expected is None or net == expected
 
     if args.format == "json":
@@ -360,8 +358,8 @@ def cmd_verify(args) -> tuple[str, int]:
     except OrbitSizeError as e:
         raise _too_large(args.k, e) from None
     table = verify.defernex_sweep(families.GOOD_LIMITS[name], n_lo, n_hi)
-    ok = all(c.valid for c in certs) and table.valid
     failing = [(c.n, c.k) for c in certs if not c.valid]
+    ok = not failing and table.valid
 
     if args.format == "json":
         text = _json_text(
@@ -397,6 +395,9 @@ def cmd_verify(args) -> tuple[str, int]:
 
 # -- pair ---------------------------------------------------------------------------
 
+# each --with and the MultiplicityProfile method that pairs a ray with it
+_PAIRINGS = {"K": "canonical_pairing", "F": "defernex_value", "self": "self_intersection"}
+
 
 def cmd_pair(args) -> tuple[str, int]:
     name, sep, idx = args.ray.partition(":")
@@ -409,13 +410,7 @@ def cmd_pair(args) -> tuple[str, int]:
         raise UsageError(f"bad ray index {idx!r}") from None
     if n < 1:
         raise UsageError(f"ray index must be >= 1, got {n}")
-    display = families.wonderful_profile(tag, n)
-    if args.with_ == "K":
-        value = display.canonical_pairing()
-    elif args.with_ == "self":
-        value = display.self_intersection()
-    else:
-        value = display.defernex_value()
+    value = getattr(families.wonderful_profile(tag, n), _PAIRINGS[args.with_])()
     try:
         sign = value.sign()
     except MixedRadicandError:
@@ -452,46 +447,41 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     sub = p.add_subparsers(dest="command", required=True)
     commands: dict[str, argparse.ArgumentParser] = {}
 
-    def common(sp):
-        sp.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
-        sp.add_argument("--out", help="write output to this path (MORIRAYS_OUTDIR prefixes relative paths)")
-        sp.add_argument("--digits", type=int, default=10, help="decimal display digits")
+    def add(name, func, help):
+        sp = commands[name] = sub.add_parser(name, help=help)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = commands["matrix"] = sub.add_parser("matrix", help="print a generator or composite matrix")
-    sp.add_argument("--kind", required=True, choices=("Q", "S", "G", "B", "J", "C", "JS", "CG"))
+    sp = add("matrix", cmd_matrix, "print a generator or composite matrix")
+    sp.add_argument("--kind", required=True, choices=tuple(_KINDS))
     sp.add_argument("--n", type=int, help="family index for J, C, JS, CG")
     sp.add_argument("--check-homaloidal", action="store_true",
                     help="also print the homaloidal net and check it against the closed form")
-    common(sp)
-    sp.set_defaults(func=cmd_matrix)
 
-    sp = commands["orbit"] = sub.add_parser("orbit", help="iterate a shape matrix on a seed")
+    sp = add("orbit", cmd_orbit, "iterate a shape matrix on a seed")
     sp.add_argument("--family", required=True, help="odd or even")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True, help="largest k to print")
     sp.add_argument("--seed", help="comma-separated d,a,b,c (default 1,1,0,0)")
-    common(sp)
-    sp.set_defaults(func=cmd_orbit)
 
-    sp = commands["eigenray"] = sub.add_parser("eigenray", help="limit ray of a family, with spectral data")
+    sp = add("eigenray", cmd_eigenray, "limit ray of a family, with spectral data")
     sp.add_argument("--family", required=True,
                     help="odd, even, even_plus, odd_plus, sq4, sq2 (or W_odd, Wplus_sq2, ...)")
     sp.add_argument("--n", type=int, required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_eigenray)
 
-    sp = commands["verify"] = sub.add_parser("verify", help="good-ray certificates plus the De Fernex sign sweep")
+    sp = add("verify", cmd_verify, "good-ray certificates plus the De Fernex sign sweep")
     sp.add_argument("--family", required=True, help="even, odd, sq4, sq2 (even_plus/odd_plus alias the first two)")
     sp.add_argument("--n", required=True, help="range A..B or single N")
     sp.add_argument("--k", default="1..6", help="range A..B or single K (default 1..6)")
-    common(sp)
-    sp.set_defaults(func=cmd_verify)
 
-    sp = commands["pair"] = sub.add_parser("pair", help="intersect a named ray with K, F, or itself")
+    sp = add("pair", cmd_pair, "intersect a named ray with K, F, or itself")
     sp.add_argument("--ray", required=True, help="NAME:n, e.g. Wplus_sq2:1 or odd:2")
-    sp.add_argument("--with", dest="with_", required=True, choices=("K", "F", "self"))
-    common(sp)
-    sp.set_defaults(func=cmd_pair)
+    sp.add_argument("--with", dest="with_", required=True, choices=tuple(_PAIRINGS))
+
+    for sp in commands.values():  # the common options, after each subcommand's own
+        sp.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
+        sp.add_argument("--out", help="write output to this path (MORIRAYS_OUTDIR prefixes relative paths)")
+        sp.add_argument("--digits", type=int, default=10, help="decimal display digits")
     return p, commands
 
 
