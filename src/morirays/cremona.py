@@ -388,7 +388,9 @@ def cremona_reduce(x: DivisorClass) -> ReductionResult:
     d, mults = x.degree, list(x.mults)
     steps: list[tuple[int, int, int]] = []
     if x.s < 3:
-        return ReductionResult(x, x, (), True)
+        # no quadratic map applies; as on three points, a class below the sum
+        # of its multiplicities with degree <= 0 is not effective
+        return ReductionResult(x, x, (), d > 0 or d >= sum(mults))
     # One key -m*s + i per point (the pair (-m, i) as one int) pops largest
     # first, ties toward the lower index.  A step changes only the three
     # points it pops, so pushing their new keys keeps one current key each.

@@ -272,6 +272,19 @@ def test_reduce_returns_a_class_on_fewer_than_three_points_unchanged(x):
     assert (r.start, r.reduced, r.steps, r.is_reduced) == (x, x, (), True)
 
 
+@pytest.mark.parametrize("x,is_reduced", [
+    (DivisorClass(-1, [1, 1]), False),
+    (DivisorClass(0, [0, 0]), True),
+    (DivisorClass(0, []), True),
+    (DivisorClass(-1, [-1, -1]), True),
+])
+def test_reduce_on_fewer_than_three_points_refuses_a_non_positive_degree_below_the_multiplicities(x, is_reduced):
+    r = cremona_reduce(x)
+    assert (r.start, r.reduced, r.steps, r.is_reduced) == (x, x, (), is_reduced)
+    # three points, the third of multiplicity 0, stop the same way
+    assert cremona_reduce(DivisorClass(x.degree, [*x.mults, 0, 0, 0][:3])).is_reduced is is_reduced
+
+
 def test_matrix_products_need_matching_sizes_or_shapes():
     with pytest.raises(ValueError, match="sizes differ: 3 vs 4"):
         quadratic_map((1, 2, 3), 3) @ quadratic_map((1, 2, 3), 4)
