@@ -13,7 +13,6 @@ exact values and marked as display only.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import os
@@ -50,6 +49,10 @@ MAX_DIGITS = 4300
 # (even, n = 1); the pencil classes of the unipotent A_1 (odd, n = 1) never do,
 # and reduce in 4k steps, within cremona.MAX_REDUCTION_STEPS.
 MAX_K = 20000
+# matrix builds kinds J, C, JS and CG at most at this n: validating and
+# composing the (s+1)-square matrices costs O(s^3), and the slowest, CG,
+# takes about 2 s at n = 150 on a 2-core container with Python 3.11.7
+MAX_MATRIX_N = 150
 # 10 ** 4300 takes about 50 µs, and every orbit and verify call asks for it
 _power_of_ten = functools.cache((10).__pow__)
 # the interpreter's limit on integer string conversion: 0 means none, and
@@ -173,6 +176,8 @@ def _write_json(obj, nl: str, parts: list[str]) -> None:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    import csv  # only CSV output needs it, so JSON and pretty runs skip the import
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -207,6 +212,8 @@ def _build_matrix(kind: str, n: int | None) -> CharMatrix:
         raise UsageError(f"kind {kind} needs --n")
     elif n < 1:
         raise UsageError(f"--n must be >= 1, got {n}")
+    elif n > MAX_MATRIX_N:
+        raise UsageError(f"--n {n} is too large: matrix stops at n = {MAX_MATRIX_N}")
     return build(n)
 
 

@@ -9,11 +9,9 @@ first.  Base points are 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .lattice import DivisorClass, ShapeError, is_line_pencil_up_to_permutation
 from .quadfield import _Frozen
@@ -350,14 +348,13 @@ def shape_action(m: CharMatrix, counts: Sequence[int]) -> ShapeMatrix:
 # -- degree reduction ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     start: DivisorClass
     reduced: DivisorClass
     steps: tuple[tuple[int, int, int], ...]
     is_reduced: bool
 
-    @cached_property
+    @property
     def is_line_pencil(self) -> bool:
         return is_line_pencil_up_to_permutation(self.reduced)
 

@@ -15,10 +15,9 @@ certified by sign computations rather than numerics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cremona import ShapeMatrix
 from .lattice import DivisorClass, MultiplicityProfile, _ints, _is_rational, _quad
@@ -93,8 +92,7 @@ def _rational_roots(coeffs: list[int]) -> list[int]:
     return roots
 
 
-@dataclass(frozen=True)
-class Eigenvalue:
+class Eigenvalue(NamedTuple):
     value: QuadNum
     algebraic: int
     geometric: int
@@ -203,8 +201,7 @@ def _shifted(m: ShapeMatrix, lam: int, transpose: bool = False) -> list[list[int
     return [[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
+class EigenDecomposition(NamedTuple):
     """Exact spectrum of a shape matrix.  `left_vector` spans the left
     eigenvectors of the strictly dominant eigenvalue, None without one."""
 
@@ -371,8 +368,7 @@ def dominant_ray(m: ShapeMatrix | EigenDecomposition) -> Ray:
 # -- orbits -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitSequence:
+class OrbitSequence(NamedTuple):
     matrix: ShapeMatrix
     seed: tuple[int, ...]
     terms: tuple[tuple[int, ...], ...]
@@ -419,8 +415,7 @@ def iterate(m: ShapeMatrix, seed: Sequence[int], k_max: int, bound: int | None =
 # -- convergence certificates -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConvergenceCertificate:
+class ConvergenceCertificate(NamedTuple):
     """Exact witness that M^k(seed) converges projectively to the dominant ray.
 
     gamma is the coefficient of the seed on the dominant eigenvector in the

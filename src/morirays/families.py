@@ -27,8 +27,7 @@ display scaling (the Ray class normalizes away the scaling).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cremona import ShapeMatrix
 from .dynamics import Ray, iterate
@@ -42,8 +41,7 @@ PENCIL_SEED = (1, 1, 0, 0)
 Invariant = tuple[str, str, bool]
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One limit family.  `parent` is the matrix family whose limit ray (and,
     for the good sweep `good`, whose pencil orbit) is split to order
     `order(n)` at its first point; the matrix families themselves have no

@@ -16,7 +16,7 @@ multiple m, so it is checked once as a coefficient statement, never swept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import families
 from .cremona import ReductionResult, cremona_reduce, quadratic_map
@@ -34,8 +34,7 @@ from .lattice import DivisorClass, MultiplicityProfile, _is_rational
 from .quadfield import QuadNum, RadicalSum, _ratio_str
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     statement: str
     ok: bool
@@ -53,8 +52,7 @@ def signed_value_json(value: QuadNum | RadicalSum, sign: int, digits: int) -> di
 # -- pencil certificates -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PencilCertificate:
+class PencilCertificate(NamedTuple):
     """Witness that a class is a Cremona transform of the pencil of lines
     through one point, hence dim of its m-th multiple is exactly m.
 
@@ -131,8 +129,7 @@ def certify_pencil(x: DivisorClass) -> PencilCertificate:
 # -- emptiness certificates ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EmptinessCertificate:
+class EmptinessCertificate(NamedTuple):
     """Witness that every multiple of `system` is empty, by colliding the
     first r^2 points back to one and comparing conditions against the known
     pencil dimension.  Inequalities are recorded symbolically in m."""
@@ -206,8 +203,7 @@ def emptiness_certificate(system: MultiplicityProfile, pencil: MultiplicityProfi
 # -- good-ray certificates -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GoodRayCertificate:
+class GoodRayCertificate(NamedTuple):
     family: str
     n: int
     k: int
@@ -280,8 +276,7 @@ def verify_good(family: str, n: int, k: int, bound: int | None = None) -> GoodRa
 
 # -- wonderful-ray reports -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WonderfulReport:
+class WonderfulReport(NamedTuple):
     family: str
     n: int
     surface_points: int
@@ -423,8 +418,7 @@ def wonderful_report(family: str, n: int) -> WonderfulReport:
 # -- De Fernex sign sweeps ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignRow:
+class SignRow(NamedTuple):
     n: int
     sign: int
     value: RadicalSum
@@ -433,8 +427,7 @@ class SignRow:
         return {"n": self.n, **signed_value_json(self.value, self.sign, 12)}
 
 
-@dataclass(frozen=True)
-class SignTable:
+class SignTable(NamedTuple):
     family: str
     rows: tuple[SignRow, ...]
     bounds: tuple[Check, ...]

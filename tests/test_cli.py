@@ -1,7 +1,6 @@
 """Command-line behavior: exit codes, formats, determinism, round-trips."""
 
 import argparse
-import dataclasses
 import json
 import os
 import subprocess
@@ -136,7 +135,7 @@ def test_verify_prints_the_sq2_bound_chain(capsys, monkeypatch):
     assert code == 0 and "\nbound chain: 10 checks, all hold\nRESULT: all certificates valid\n" in out
     honest = verify.sq2_bound_chain
     monkeypatch.setattr(verify, "sq2_bound_chain",
-                        lambda n: (dataclasses.replace(honest(n)[0], ok=False),) + honest(n)[1:])
+                        lambda n: (honest(n)[0]._replace(ok=False),) + honest(n)[1:])
     code, out, _ = run(capsys, "verify", "--family", "sq2", "--n", "1..2", "--k", "1")
     assert code == 1 and "\nbound chain: 10 checks, 2 FAILED\nRESULT: failures at []\n" in out
 
@@ -565,6 +564,20 @@ def test_huge_k_past_every_digit_bound_is_refused_in_time(argv, env, reason):
                           env={**_module_env(), **env}, timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: --k {argv[-1]} is too large: {reason}"
+
+
+@pytest.mark.parametrize("kind,n", [("J", 151), ("C", 151), ("JS", 151), ("CG", 151), ("J", 10 ** 9)])
+def test_matrix_n_past_the_cap_is_refused_in_time(kind, n):
+    # validation and composition cost O(s^3), so an uncapped --n could run for minutes
+    proc = subprocess.run([sys.executable, "-m", "morirays", "matrix", "--kind", kind, "--n", str(n)],
+                          capture_output=True, text=True, env=_module_env(), timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: --n {n} is too large: matrix stops at n = 150\n"
+
+
+def test_matrix_n_at_the_cap_runs(capsys):
+    code, out, err = run(capsys, "matrix", "--kind", "J", "--n", "150", "--format", "csv")
+    assert (code, err) == (0, "") and len(out.splitlines()) == 1 + 2 * 150 + 2
 
 
 def test_k_at_the_term_cap_runs_on_a_unipotent_parent(capsys):

@@ -1,6 +1,5 @@
 """Machine checks: pencil certificates, emptiness rules, good rays, sign sweeps."""
 
-import dataclasses
 import json
 import sys
 
@@ -117,7 +116,7 @@ def test_replay_rejects_a_forged_endpoint(monkeypatch):
     # it a line pencil, so only the replay can tell
     def move_the_point(x, red):
         mults = red.reduced.mults
-        return dataclasses.replace(red, reduced=DivisorClass(red.reduced.degree, mults[-1:] + mults[:-1]))
+        return red._replace(reduced=DivisorClass(red.reduced.degree, mults[-1:] + mults[:-1]))
 
     _forge(monkeypatch, move_the_point)
     cert = certify_pencil(primed_pencil_profile(2, 1).expand())
@@ -130,7 +129,7 @@ def test_replay_checks_signs_between_the_ends(monkeypatch):
     # the line through p1 and p2 maps to E_3 (degree 0, multiplicity -1);
     # repeating the step lands back on the nonnegative start
     def repeat_the_last_step(x, red):
-        return dataclasses.replace(red, reduced=x, steps=red.steps + red.steps[-1:])
+        return red._replace(reduced=x, steps=red.steps + red.steps[-1:])
 
     _forge(monkeypatch, repeat_the_last_step)
     cert = certify_pencil(DivisorClass(1, [1, 1, 0]))
@@ -141,7 +140,7 @@ def test_replay_checks_signs_between_the_ends(monkeypatch):
 
 def test_good_certificate_fails_on_a_forged_pencil_reduction(monkeypatch):
     honest = verify_good("odd", 2, 1)
-    _forge(monkeypatch, lambda x, red: dataclasses.replace(red, steps=red.steps[:-1]))
+    _forge(monkeypatch, lambda x, red: red._replace(steps=red.steps[:-1]))
     cert = verify_good("odd", 2, 1)
     assert cert.checks == honest.checks and all(c.ok for c in cert.checks)
     assert not cert.pencil.replay_ok and not cert.valid and not cert.emptiness.valid
@@ -149,13 +148,13 @@ def test_good_certificate_fails_on_a_forged_pencil_reduction(monkeypatch):
     assert [c.name for c in cert.failures[:-1]] == [c.name for c in cert.emptiness.inequalities if not c.ok]
     assert cert.to_json()["valid"] is False
     # the pencil alone refuses a certificate whose other checks all hold
-    alone = dataclasses.replace(cert, emptiness=dataclasses.replace(cert.emptiness, inequalities=()))
+    alone = cert._replace(emptiness=cert.emptiness._replace(inequalities=()))
     assert alone.failures == cert.failures[-1:] and not alone.valid
 
 
 @pytest.mark.parametrize("step", [(1, 1, 2), (0, 1, 2), (1, 2, 13)])
 def test_replay_rejects_malformed_steps(monkeypatch, step):
-    _forge(monkeypatch, lambda x, red: dataclasses.replace(red, steps=red.steps + (step,)))
+    _forge(monkeypatch, lambda x, red: red._replace(steps=red.steps + (step,)))
     with pytest.raises(ValueError, match="not three distinct points in 1..12"):
         certify_pencil(primed_pencil_profile(2, 1).expand())
 
