@@ -17,7 +17,12 @@ import functools
 import io
 import os
 import sys
-from json.encoder import encode_basestring_ascii
+from typing import Callable
+
+try:  # the C function json.encoder wraps, without importing json
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 from . import families, verify
 from .cremona import (
@@ -444,68 +449,115 @@ def build_parser() -> argparse.ArgumentParser:
     return _parsers()[0]
 
 
+# a subcommand's function, and the argparse action of each of its options by flag
+_Command = tuple[Callable[[argparse.Namespace], tuple[str, int]], dict[str, argparse.Action]]
+
+
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's own parser by name."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
+    """The top-level parser and each subcommand's `_Command` by name."""
     p = argparse.ArgumentParser(
         prog="morirays",
         description="Exact divisor-class calculus on blowups of the plane.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    commands: dict[str, argparse.ArgumentParser] = {}
+    commands: dict[str, _Command] = {}
+    adders = []
 
     def add(name, func, help):
-        sp = commands[name] = sub.add_parser(name, help=help)
+        """Register a subcommand; returns the function that adds one of its options."""
+        sp = sub.add_parser(name, help=help)
         sp.set_defaults(func=func)
-        return sp
+        actions: dict[str, argparse.Action] = {}
+        commands[name] = func, actions
 
-    sp = add("matrix", cmd_matrix, "print a generator or composite matrix")
-    sp.add_argument("--kind", required=True, choices=tuple(_KINDS))
-    sp.add_argument("--n", type=int, help="family index for J, C, JS, CG")
-    sp.add_argument("--check-homaloidal", action="store_true",
-                    help="also print the homaloidal net and check it against the closed form")
+        def option(flag, **kwargs):
+            actions[flag] = sp.add_argument(flag, **kwargs)
 
-    sp = add("orbit", cmd_orbit, "iterate a shape matrix on a seed")
-    sp.add_argument("--family", required=True, help="odd or even")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True, help="largest k to print")
-    sp.add_argument("--seed", help="comma-separated d,a,b,c (default 1,1,0,0)")
+        adders.append(option)
+        return option
 
-    sp = add("eigenray", cmd_eigenray, "limit ray of a family, with spectral data")
-    sp.add_argument("--family", required=True,
-                    help="odd, even, even_plus, odd_plus, sq4, sq2 (or W_odd, Wplus_sq2, ...)")
-    sp.add_argument("--n", type=int, required=True)
+    option = add("matrix", cmd_matrix, "print a generator or composite matrix")
+    option("--kind", required=True, choices=tuple(_KINDS))
+    option("--n", type=int, help="family index for J, C, JS, CG")
+    option("--check-homaloidal", action="store_true",
+           help="also print the homaloidal net and check it against the closed form")
 
-    sp = add("verify", cmd_verify, "good-ray certificates plus the De Fernex sign sweep")
-    sp.add_argument("--family", required=True, help="even, odd, sq4, sq2 (even_plus/odd_plus alias the first two)")
-    sp.add_argument("--n", required=True, help="range A..B or single N")
-    sp.add_argument("--k", default="1..6", help="range A..B or single K (default 1..6)")
+    option = add("orbit", cmd_orbit, "iterate a shape matrix on a seed")
+    option("--family", required=True, help="odd or even")
+    option("--n", type=int, required=True)
+    option("--k", type=int, required=True, help="largest k to print")
+    option("--seed", help="comma-separated d,a,b,c (default 1,1,0,0)")
 
-    sp = add("pair", cmd_pair, "intersect a named ray with K, F, or itself")
-    sp.add_argument("--ray", required=True, help="NAME:n, e.g. Wplus_sq2:1 or odd:2")
-    sp.add_argument("--with", dest="with_", required=True, choices=tuple(_PAIRINGS))
+    option = add("eigenray", cmd_eigenray, "limit ray of a family, with spectral data")
+    option("--family", required=True, help="odd, even, even_plus, odd_plus, sq4, sq2 (or W_odd, Wplus_sq2, ...)")
+    option("--n", type=int, required=True)
 
-    for sp in commands.values():  # the common options, after each subcommand's own
-        sp.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
-        sp.add_argument("--out", help="write output to this path (MORIRAYS_OUTDIR prefixes relative paths)")
-        sp.add_argument("--digits", type=int, default=10, help="decimal display digits")
+    option = add("verify", cmd_verify, "good-ray certificates plus the De Fernex sign sweep")
+    option("--family", required=True, help="even, odd, sq4, sq2 (even_plus/odd_plus alias the first two)")
+    option("--n", required=True, help="range A..B or single N")
+    option("--k", default="1..6", help="range A..B or single K (default 1..6)")
+
+    option = add("pair", cmd_pair, "intersect a named ray with K, F, or itself")
+    option("--ray", required=True, help="NAME:n, e.g. Wplus_sq2:1 or odd:2")
+    option("--with", dest="with_", required=True, choices=tuple(_PAIRINGS))
+
+    for option in adders:  # the common options, after each subcommand's own
+        option("--format", choices=("pretty", "json", "csv"), default="pretty")
+        option("--out", help="write output to this path (MORIRAYS_OUTDIR prefixes relative paths)")
+        option("--digits", type=int, default=10, help="decimal display digits")
     return p, commands
 
 
+def _plain(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse makes of a plain argv, or None for any other.
+
+    A plain argv is a subcommand name, then that subcommand's exact flags,
+    each at most once, each followed by one value that does not start with
+    '-', converts with the flag's type and lies in its choices; the
+    `store_true` flag takes no value.  Every required flag is present."""
+    entry = _parsers()[1].get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    func, actions = entry
+    args = argparse.Namespace()
+    values = vars(args)  # filled directly: Namespace(**kwargs) sets each one through setattr
+    for action in actions.values():
+        values[action.dest] = action.default
+    given = set()
+    words = iter(argv[1:])
+    for flag in words:
+        action = actions.get(flag)
+        if action is None or action.dest in given:
+            return None
+        given.add(action.dest)
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        text = next(words, "-")  # a missing value is not plain either
+        if text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    for action in actions.values():
+        if action.required and action.dest not in given:
+            return None
+    values["func"], values["command"] = func, argv[0]
+    return args
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`.  An argv that starts with a
-    subcommand goes to that subcommand's parser alone, which is all the
-    top-level pass would do with it; any other argv, and one the subcommand
-    leaves arguments over from, takes the top-level pass, so help, usage
-    errors and their exit codes are argparse's own."""
-    parser, commands = _parsers()
-    sub = commands.get(argv[0]) if argv else None
-    if sub is not None:
-        args, rest = sub.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    """`build_parser().parse_args(argv)`: a plain argv is read from the
+    options' actions without an argparse pass, and any other goes to
+    argparse, so help, abbreviations, `--flag=value`, `--` and every usage
+    error are argparse's own."""
+    args = _plain(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import morirays
 from morirays import (CharMatrix, DivisorClass, MultiplicityProfile, RadicalSum, Ray, ShapeMatrix, dynamics, families,
@@ -431,7 +432,7 @@ def test_subcommand_argv_makes_no_top_level_pass(capsys, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
     assert run(capsys, "pair", "--ray", "odd:2", "--with", "K")[0] == 0
     assert run(capsys, "verify", "--family", "even", "--n", "2", "--k", "1")[0] == 0
-    assert progs == ["morirays pair", "morirays verify"]
+    assert progs == []
     # help, an unknown command and leftover arguments take the top-level pass
     for argv, code in ((["-h"], 0), (["bogus"], 2), (["pair", "--ray", "odd:2", "--with", "K", "extra"], 2)):
         progs.clear()
@@ -460,6 +461,17 @@ PARSE_CASES = [
     ["matrix", "--ki", "J", "--n", "2", "--check"], ["matrix", "--kind", "J", "--n", "x"],
     ["orbit", "--family", "odd", "--n", "2", "--k", "3", "--seed", "1,1,0,0"], ["orbit", "--n", "x"],
     ["eigenray", "--family", "sq2", "--n", "3", "--digits", "0"], ["eigenray", "extra", "--family", "odd", "--n", "1"],
+    # at the edge of a plain argv
+    ["orbit", "--family", "odd", "--n", "-3", "--k", "1"], ["orbit", "--family", "odd", "--n", "", "--k", "1"],
+    ["pair", "--ray", "", "--with", "K", "--out", ""], ["pair", "--ray", "odd:2", "--with", "K", "--out", "-"],
+    ["pair", "--with", "K", "--ray", "-x"], ["pair", "--ray", "odd:2", "--with", "K", "--out", "--digits"],
+    ["matrix", "--kind", "Q", "--check-homaloidal", "--check-homaloidal"],
+    ["matrix", "--kind", "Q", "--check-homaloidal", "json"],
+    ["eigenray", "--family", "odd", "--n", "\u0663"], ["eigenray", "--family", "odd", "--n", "\uff12", "--digits", "\u0661"],
+    ["pair", "--ray", "odd:2", "--with", "K", "--with", "F"],
+    ["pair", "--ray", "odd:2", "--format", "json", "--digits", "3", "--out", "x.json"],
+    ["matrix", "--kind", "J", "--n", "2", "--check-homaloidal", "--format", "json", "--digits", "3", "--out", "m.json"],
+    ["verify", "--n", "1..2", "--family", "sq2", "--k", "1..6", "--format", "csv"],
 ]
 
 
@@ -475,6 +487,92 @@ def _parse_outcome(capsys, parse, argv):
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "<empty>")
 def test_dispatch_parses_like_the_top_level_parser(capsys, argv):
     assert _parse_outcome(capsys, _parse, argv) == _parse_outcome(capsys, build_parser().parse_args, argv)
+
+
+# each subcommand's flags with values to draw for them (the store_true flag
+# takes none), and words to draw in any place
+_OPTIONS = {
+    "matrix": {"--kind": ["Q", "J", "CG"], "--n": ["2", "15"], "--check-homaloidal": []},
+    "orbit": {"--family": ["odd", "even"], "--n": ["2", "0"], "--k": ["3", "10"], "--seed": ["1,1,0,0", "a b"]},
+    "eigenray": {"--family": ["sq2", "W_odd"], "--n": ["1", "12"]},
+    "verify": {"--family": ["even", "sq4"], "--n": ["1..3", "2"], "--k": ["1", "1..6"]},
+    "pair": {"--ray": ["odd:2", "sq2:5"], "--with": ["K", "F", "self"]},
+}
+_COMMON = {"--format": ["json", "csv", "pretty"], "--out": ["x.json", "a b"], "--digits": ["3", "0", "1_0"]}
+_ANY_VALUE = ["", "-", "-3", "\u0663", "x", "X", "xml", "1.5", "--", "K", "odd"]
+_JUNK = ["--", "-h", "--help", "extra", "-x", "--bogus", "-", "pair", "--n", "--with"]
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand (or not) and a run of its flags in any order with values;
+    now and then a flag is left out or repeated, a value is junk, or a flag
+    is abbreviated, written with `=`, left bare or replaced by a junk word
+    such as `--` or `-h`."""
+    now_and_then = st.integers(0, 9).map(lambda i: i == 0)
+    command = draw(st.sampled_from([*_OPTIONS] * 4 + ["bogus", "-h", "--", "verif"]))
+    options = {**_OPTIONS.get(command, {}), **_COMMON}
+    flags = draw(st.permutations([flag for flag in sorted(options) if not draw(now_and_then)]))
+    if draw(now_and_then):
+        flags.append(draw(st.sampled_from(sorted(options))))
+    argv = [command]
+    for flag in flags:
+        value = draw(st.sampled_from(_ANY_VALUE if draw(now_and_then) else options[flag] or [None]))
+        form = draw(st.sampled_from(["abbreviated", "equals", "bare", "junk"])) if draw(now_and_then) else "plain"
+        if form == "abbreviated":
+            flag = flag[:draw(st.integers(3, max(3, len(flag) - 1)))]
+        if form == "equals":
+            argv.append(f"{flag}={value or ''}")
+        elif form == "junk":
+            argv.append(draw(st.sampled_from(_JUNK)))
+        else:
+            argv += [flag] if form == "bare" or value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs())
+def test_drawn_argvs_parse_like_the_top_level_parser(capsys, argv):
+    assert _parse_outcome(capsys, _parse, argv) == _parse_outcome(capsys, build_parser().parse_args, argv)
+
+
+# argvs that are not plain, so each takes an argparse pass.  For the first
+# five (a repeated flag, a value of `-3` or `-`) argparse's namespace is what a
+# table path that took them would build, so only the pass count tells.
+ARGPARSE_ARGVS = [
+    ["pair", "--ray", "odd:2", "--ray", "even:3", "--with", "self"], ["pair", "--ray", "odd:2", "--with", "K", "--with", "F"],
+    ["matrix", "--kind", "Q", "--check-homaloidal", "--check-homaloidal"],
+    ["orbit", "--family", "odd", "--n", "-3", "--k", "1"], ["pair", "--ray", "odd:2", "--with", "K", "--out", "-"],
+    ["pair", "--ray=odd:2", "--with", "K"], ["pair", "--ra", "odd:2", "--with", "K"],
+    ["pair", "--ray", "odd:2", "--with", "X"], ["orbit", "--family", "odd", "--n", "x", "--k", "1"],
+    ["pair", "--ray", "odd:2", "--format", "json"], ["pair", "--ray", "odd:2", "--with", "K", "--", "x"],
+]
+TABLE_ARGVS = [
+    ["pair", "--ray", "W_even:1000", "--with", "F", "--format", "json"],
+    ["verify", "--family", "sq2", "--n", "3", "--k", "2", "--format", "json"],
+    ["eigenray", "--family", "Wplus_sq4", "--n", "40", "--format", "json"],
+    ["matrix", "--kind", "CG", "--n", "2", "--check-homaloidal", "--digits", "3", "--out", "m.json"],
+    ["orbit", "--seed", "1,1,0,0", "--k", "3", "--n", "\u0663", "--family", "odd"],
+    ["pair", "--ray", "", "--with", "K", "--out", ""],
+]
+
+
+def test_only_plain_argvs_skip_argparse(capsys, monkeypatch):
+    passes = []
+    original = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, args=None, namespace=None):
+        passes.append(self.prog)
+        return original(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    for argv in TABLE_ARGVS:
+        _parse_outcome(capsys, _parse, argv)
+        assert passes == [], argv
+    for argv in ARGPARSE_ARGVS:
+        _parse_outcome(capsys, _parse, argv)
+        assert passes[:1] == ["morirays"], argv
+        passes.clear()
 
 
 # -- orbits past the interpreter's int string limit -----------------------------------

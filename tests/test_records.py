@@ -1,6 +1,8 @@
 """Result records: immutable NamedTuples, copied with `_replace`, and an import
-path that loads no `dataclasses`."""
+path that loads no `dataclasses` and no `json`."""
 
+import ast
+import importlib.util
 import json
 import subprocess
 import sys
@@ -71,3 +73,23 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_csv():
     added = set(json.loads(done.stdout))
     assert "morirays.cli" in added
     assert not added & {"dataclasses", "inspect", "csv"}
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_json") is None, reason="no C JSON module; cli falls back to json.encoder")
+def test_importing_the_cli_loads_no_json():
+    """The JSON writer takes encode_basestring_ascii from the C module _json,
+    so a fresh isolated interpreter that imports morirays.cli and builds the
+    parser loads no json module.  The probe imports no json itself: it prints
+    with repr."""
+    src = str(Path(morirays.__file__).resolve().parent.parent)
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "sys.path.insert(0, sys.argv[1])\n"
+             "import morirays.cli\n"
+             "morirays.cli.build_parser()\n"
+             "print(repr(sorted(set(sys.modules) - before)))\n")
+    done = subprocess.run([sys.executable, "-I", "-c", probe, src], capture_output=True, text=True,
+                          timeout=60, check=True)
+    added = set(ast.literal_eval(done.stdout))
+    assert "morirays.cli" in added
+    assert not added & {"json", "json.decoder", "json.encoder", "json.scanner"}
