@@ -195,10 +195,9 @@ def _projected(
     raise AssertionError("p(M) vanished: lam is not a simple eigenvalue")
 
 
-def _shifted(m: ShapeMatrix, lam: int, transpose: bool = False) -> list[list[int]]:
-    """M - lam*I, or its transpose, for an integer eigenvalue lam."""
-    rows = zip(*m.rows) if transpose else m.rows
-    return [[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+def _shifted(m: ShapeMatrix, lam: int) -> list[list[int]]:
+    """M - lam*I for an integer eigenvalue lam."""
+    return [[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m.rows)]
 
 
 class EigenDecomposition(NamedTuple):

@@ -67,6 +67,8 @@ class PencilCertificate(NamedTuple):
     replay_ok: bool
     nonnegative_throughout: bool
 
+    dimension_statement = "dim of the m-th multiple is m for every m >= 1"
+
     @property
     def valid(self) -> bool:
         return self.failure is None
@@ -82,10 +84,6 @@ class PencilCertificate(NamedTuple):
         if not self.nonnegative_throughout:
             return "a multiplicity went negative along the reduction"
         return None
-
-    @property
-    def dimension_statement(self) -> str:
-        return "dim of the m-th multiple is m for every m >= 1"
 
     def to_json(self) -> dict:
         return {
@@ -130,9 +128,9 @@ def certify_pencil(x: DivisorClass) -> PencilCertificate:
 
 
 class EmptinessCertificate(NamedTuple):
-    """Witness that every multiple of `system` is empty, by colliding the
-    first r^2 points back to one and comparing conditions against the known
-    pencil dimension.  Inequalities are recorded symbolically in m."""
+    """Witness that every multiple of `system` is empty, by colliding the first
+    r^2 points back to one and comparing conditions against the known pencil
+    dimension.  Inequalities are stated symbolically in m; valid when all hold."""
 
     rule: str
     order: int
@@ -142,7 +140,7 @@ class EmptinessCertificate(NamedTuple):
 
     @property
     def valid(self) -> bool:
-        return self.pencil.valid and all(c.ok for c in self.inequalities)
+        return all(c.ok for c in self.inequalities)
 
     def to_json(self) -> dict:
         return {
@@ -157,43 +155,39 @@ class EmptinessCertificate(NamedTuple):
 
 def emptiness_certificate(system: MultiplicityProfile, pencil: MultiplicityProfile, r: int) -> EmptinessCertificate:
     """Certify emptiness of all multiples of `system`, the order-r split of
-    the scaled pencil at its first point."""
+    the scaled pencil at its first point.  Each rule's first inequality is its
+    premise, the pencil certificate: it fails exactly when the pencil does, its
+    statement then ending with the pencil's failure."""
     cert = certify_pencil(pencil.expand())
     a = pencil.blocks[0][0]  # an int: certify_pencil refuses a class that is not integral
+
+    def premise(name: str, statement: str) -> Check:
+        return Check(name, statement if cert.valid else f"{statement}: {cert.failure}", cert.valid)
+
     if r == 2:
         rule = "R2_PENCIL"
         ineqs = (
-            Check(
-                "collided-dimension",
-                "colliding 4 points of multiplicity m*a gives 2m copies of the pencil, dim = 2m",
-                cert.valid,
-            ),
+            premise("collided-dimension",
+                    "colliding 4 points of multiplicity m*a gives 2m copies of the pencil, dim = 2m"),
             Check("dimension-drop", f"2m < m*a for every m >= 1 <=> a = {a} > 2", a > 2),
         )
     elif r == 3:
         rule = "R3_PENCIL"
         ineqs = (
-            Check(
-                "matching-conditions",
-                "colliding 9 points of multiplicity m*a imposes alpha = 3m*a conditions on 3m copies of the pencil",
-                cert.valid,
-            ),
+            premise("matching-conditions",
+                    "colliding 9 points of multiplicity m*a imposes alpha = 3m*a conditions"
+                    " on 3m copies of the pencil"),
             Check("matching-excess", f"3m*a > 6m for every m >= 1 <=> a = {a} > 2", a > 2),
             Check("dimension-bound", "6m > dim of 3m copies of the pencil = 3m for every m >= 1 <=> 6 > 3", True),
         )
     elif r > 3:
         rule = "R_GE_4_NAGATA"
         ineqs = (
-            Check(
-                "exact-multiplicity",
-                f"members of the pencil have multiplicity exactly a = {a} at the first point",
-                cert.valid,
-            ),
-            Check(
-                "twist-bound",
-                f"sums of r*m pencil members have multiplicity at most r*m*a < r*m*a + 1 <= t (order r = {r} > 3)",
-                r > 3,
-            ),
+            premise("exact-multiplicity",
+                    f"members of the pencil have multiplicity exactly a = {a} at the first point"),
+            Check("twist-bound",
+                  f"sums of r*m pencil members have multiplicity at most r*m*a < r*m*a + 1 <= t (order r = {r} > 3)",
+                  r > 3),
         )
     else:
         raise ValueError(f"collision order must be >= 2, got {r}")
@@ -221,11 +215,7 @@ class GoodRayCertificate(NamedTuple):
 
     @property
     def failures(self) -> tuple[Check, ...]:
-        bad = tuple(c for c in self.checks if not c.ok)
-        bad += tuple(c for c in self.emptiness.inequalities if not c.ok)
-        if not self.pencil.valid:
-            bad += (Check("pencil", self.pencil.failure or "pencil certificate failed", False),)
-        return bad
+        return tuple(c for c in self.checks + self.emptiness.inequalities if not c.ok)
 
     def to_json(self) -> dict:
         return {
@@ -323,16 +313,6 @@ class WonderfulReport(NamedTuple):
         }
 
 
-def _convergence_entries(spectrum) -> tuple[tuple[tuple[int, ...], ConvergenceCertificate | None], ...]:
-    entries = []
-    for seed in (families.LINE_SEED, families.PENCIL_SEED):
-        try:
-            entries.append((seed, certify_convergence(spectrum, seed)))
-        except SpectrumError:
-            entries.append((seed, None))
-    return tuple(entries)
-
-
 def wonderful_report(family: str, n: int) -> WonderfulReport:
     """Exact report on one limit ray: closed form against the independent
     construction, self-intersection, canonical pairing, irrationality, the
@@ -386,18 +366,15 @@ def wonderful_report(family: str, n: int) -> WonderfulReport:
 
     value = display.defernex_value()
     sign = value.sign()
-    convergence = _convergence_entries(spectrum)
-    for seed, cert in convergence:
-        if cert is None:
-            checks.append(Check("convergence", f"seed {seed}: no simple dominant eigenvalue", False))
-        else:
-            checks.append(
-                Check(
-                    "convergence",
-                    f"seed {seed}: dominant component gamma = {cert.gamma} is nonzero",
-                    cert.converges,
-                )
-            )
+    convergence: list[tuple[tuple[int, ...], ConvergenceCertificate | None]] = []
+    for seed in (families.LINE_SEED, families.PENCIL_SEED):
+        try:
+            cert = certify_convergence(spectrum, seed)
+            stmt, ok = f"seed {seed}: dominant component gamma = {cert.gamma} is nonzero", cert.converges
+        except SpectrumError:
+            cert, stmt, ok = None, f"seed {seed}: no simple dominant eigenvalue", False
+        convergence.append((seed, cert))
+        checks.append(Check("convergence", stmt, ok))
 
     return WonderfulReport(
         family=family,
@@ -410,7 +387,7 @@ def wonderful_report(family: str, n: int) -> WonderfulReport:
         defernex_value=value,
         defernex_sign=sign,
         irrationality=witness,
-        convergence=convergence,
+        convergence=tuple(convergence),
         candidates=tuple(candidates),
     )
 

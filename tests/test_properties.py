@@ -1,7 +1,10 @@
 """Randomized invariants: intersection preservation, collision conservation."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from morirays import (
     DivisorClass,
@@ -126,3 +129,18 @@ def test_cli_reports_byte_identical(capsys):
         first = capsys.readouterr().out
         main(args)
         assert capsys.readouterr().out == first
+
+
+def test_a_failing_hypothesis_test_gets_a_normal_report(tmp_path):
+    # under the repository's warning filters a failing @given test must end in
+    # a failure report and exit 1, not in an INTERNALERROR raised while the
+    # hypothesis plugin builds that report
+    (tmp_path / "test_red.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_red(x):\n    assert 0 < 0\n"
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-c", str(config), "-p", "no:cacheprovider", "-q",
+                          "test_red.py"], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert any(line.startswith("FAILED ") and line.endswith("assert 0 < 0") for line in run.stdout.splitlines())

@@ -1,11 +1,15 @@
 """Machine checks: pencil certificates, emptiness rules, good rays, sign sweeps."""
 
+import contextlib
+import io
 import json
 import sys
 
+import make_cli_golden
 import pytest
 
 from morirays import DivisorClass, MultiplicityProfile, SpectrumError, dynamics, families, line_pencil_class, verify
+from morirays.cli import main
 from morirays.cremona import quadratic_map
 from morirays.dynamics import char_poly
 from morirays.families import pencil_profile, primed_pencil_profile
@@ -42,6 +46,14 @@ RULES = [
     ("sq2", 1, 1, "R3_PENCIL"),
     ("sq2", 2, 1, "R_GE_4_NAGATA"),
     ("sq2", 4, 2, "R_GE_4_NAGATA"),
+]
+
+# the C9 grids: (family, n range, k range), 100 cells in all
+C9_GRIDS = [
+    ("even", range(2, 7), range(1, 7)),
+    ("odd", range(1, 6), range(1, 7)),
+    ("sq4", range(1, 6), range(1, 5)),
+    ("sq2", range(1, 6), range(1, 5)),
 ]
 
 # first year of each sweep with its sign; -1 rows are strict negativity claims
@@ -144,12 +156,81 @@ def test_good_certificate_fails_on_a_forged_pencil_reduction(monkeypatch):
     cert = verify_good("odd", 2, 1)
     assert cert.checks == honest.checks and all(c.ok for c in cert.checks)
     assert not cert.pencil.replay_ok and not cert.valid and not cert.emptiness.valid
-    assert cert.failures[-1] == verify.Check("pencil", "replay of the recorded quadratic maps diverged", False)
-    assert [c.name for c in cert.failures[:-1]] == [c.name for c in cert.emptiness.inequalities if not c.ok]
+    assert cert.failures == cert.emptiness.inequalities[:1]
+    assert cert.failures[0].statement.endswith(": replay of the recorded quadratic maps diverged")
     assert cert.to_json()["valid"] is False
-    # the pencil alone refuses a certificate whose other checks all hold
-    alone = cert._replace(emptiness=cert.emptiness._replace(inequalities=()))
-    assert alone.failures == cert.failures[-1:] and not alone.valid
+    # the premise carries the pencil's verdict: with the honest premise in its
+    # place the certificate is valid, though its pencil still is not
+    premise = honest.emptiness.inequalities[0]
+    restored = cert._replace(emptiness=cert.emptiness._replace(
+        inequalities=(premise, *cert.emptiness.inequalities[1:])))
+    assert restored.valid and restored.emptiness.valid and not restored.pencil.valid
+
+
+FORGED_CELLS = [("odd", 2, 1, "R2_PENCIL", "collided-dimension"),
+                ("sq2", 1, 1, "R3_PENCIL", "matching-conditions"),
+                ("sq2", 2, 1, "R_GE_4_NAGATA", "exact-multiplicity")]
+
+
+def _drop_last_step(monkeypatch):
+    _forge(monkeypatch, lambda x, red: red._replace(steps=red.steps[:-1]))
+
+
+@pytest.mark.parametrize("family,n,k,rule,premise", FORGED_CELLS)
+def test_a_forged_pencil_fails_each_rule_once_at_its_premise(monkeypatch, capsys, family, n, k, rule, premise):
+    reason = "replay of the recorded quadratic maps diverged"
+    honest = verify_good(family, n, k)
+    _drop_last_step(monkeypatch)
+    cert = verify_good(family, n, k)
+    assert cert.emptiness.rule == rule and cert.pencil.failure == reason
+    assert cert.failures == (verify.Check(premise, f"{honest.emptiness.inequalities[0].statement}: {reason}", False),)
+    assert cert.emptiness.inequalities[1:] == honest.emptiness.inequalities[1:]
+    argv = ["verify", "--family", family, "--n", str(n), "--k", str(k)]
+    assert main(argv) == 1
+    line = f"{family} n={n} k={k}: REFUSED ({cert.failures[0].statement})\n"
+    out = capsys.readouterr().out
+    assert line in out and out.count(reason) == 1
+    assert main([*argv, "--format", "csv"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [f"{n},{k},false,{premise}"]
+
+
+def _flags(node) -> list[bool]:
+    """The `ok` and `valid` values in a JSON document, asserting on the way
+    that each `valid` is the AND of the flags beneath it (True over none).
+    A pencil certificate lists no checks: its `failure` is null exactly when
+    it is valid."""
+    if isinstance(node, list):
+        return [f for item in node for f in _flags(item)]
+    if not isinstance(node, dict):
+        return []
+    beneath = [f for key, value in node.items() for f in _flags(value)]
+    if "failure" in node:
+        assert beneath == [] and (node["failure"] is None) is node["valid"], node
+    elif "valid" in node:
+        assert node["valid"] is all(beneath), node
+    return beneath + [node[key] for key in ("ok", "valid") if key in node]
+
+
+def _json_run(argv) -> tuple[int, list[bool]]:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    return code, _flags(json.loads(out.getvalue() or "null"))
+
+
+def test_every_json_verdict_is_the_and_of_the_flags_beneath_it(monkeypatch):
+    argvs = [argv for argv in make_cli_golden.corpus() if argv[-2:] == ["--format", "json"]]
+    argvs += [["verify", "--family", family, "--n", str(n), "--k", str(k), "--format", "json"]
+              for family, ns, ks in C9_GRIDS for n in ns for k in ks]
+    with make_cli_golden.pinned():
+        for argv in argvs:
+            code, flags = _json_run(argv)
+            # only verify states verdicts, and it exits 1 exactly when one fails
+            assert bool(flags) is (argv[0] == "verify") and (code == 1) is (False in flags), argv
+        _drop_last_step(monkeypatch)
+        for family, n, k, _, _ in FORGED_CELLS:
+            code, flags = _json_run(["verify", "--family", family, "--n", str(n), "--k", str(k), "--format", "json"])
+            # five flags fail: the premise, the pencil, the emptiness, the certificate and the run
+            assert code == 1 and flags.count(False) == 5
 
 
 @pytest.mark.parametrize("step", [(1, 1, 2), (0, 1, 2), (1, 2, 13)])
