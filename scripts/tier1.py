@@ -2,9 +2,10 @@
 
     python scripts/tier1.py
 
-Tier-1 is `python -m pytest -q --continue-on-collection-errors` with `src` on
-PYTHONPATH.  `tests/test_acceptance.py::test_c5_spectra` must fail: it states
-an odd-family eigenvalue that the matrices provably do not have (README,
+Tier-1 is `python -m pytest -q --continue-on-collection-errors --durations=10`
+with `src` on PYTHONPATH; its report ends with the ten slowest tests.
+`tests/test_acceptance.py::test_c5_spectra` must fail: it states an
+odd-family eigenvalue that the matrices provably do not have (README,
 "Known red").  Any other failure or error, and a run where that test passes,
 fails this script.  Then `bench/test_bench.py` must pass.
 """
@@ -37,7 +38,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         junit = Path(tmp) / "tier1.xml"
         code = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-                               f"--junitxml={junit}"], cwd=ROOT, env=env).returncode
+                               "--durations=10", f"--junitxml={junit}"], cwd=ROOT, env=env).returncode
         if code not in (0, 1) or not junit.exists():
             print(f"tier1: pytest exited {code} without a complete report")
             return 1

@@ -9,9 +9,10 @@ first.  Base points are 1-based.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .lattice import DivisorClass, ShapeError, is_line_pencil_up_to_permutation
 from .quadfield import _Frozen
@@ -348,11 +349,11 @@ def shape_action(m: CharMatrix, counts: Sequence[int]) -> ShapeMatrix:
 # -- degree reduction ------------------------------------------------------------
 
 
-class ReductionResult(NamedTuple):
-    start: DivisorClass
-    reduced: DivisorClass
-    steps: tuple[tuple[int, int, int], ...]
-    is_reduced: bool
+class ReductionResult(namedtuple("ReductionResult", "start reduced steps is_reduced")):
+    """Fields: start, reduced: DivisorClass; steps: tuple[tuple[int, int, int], ...],
+    the 1-based points of each quadratic map; is_reduced: bool."""
+
+    __slots__ = ()
 
     @property
     def is_line_pencil(self) -> bool:

@@ -15,9 +15,10 @@ certified by sign computations rather than numerics.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd, lcm
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .cremona import ShapeMatrix
 from .lattice import DivisorClass, MultiplicityProfile, _ints, _is_rational, _quad
@@ -92,11 +93,11 @@ def _rational_roots(coeffs: list[int]) -> list[int]:
     return roots
 
 
-class Eigenvalue(NamedTuple):
-    value: QuadNum
-    algebraic: int
-    geometric: int
-    vectors: tuple[tuple[QuadNum, ...], ...]
+class Eigenvalue(namedtuple("Eigenvalue", "value algebraic geometric vectors")):
+    """Fields: value: QuadNum; algebraic, geometric: int (multiplicities);
+    vectors: tuple[tuple[QuadNum, ...], ...], a basis of the eigenspace."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -200,15 +201,15 @@ def _shifted(m: ShapeMatrix, lam: int) -> list[list[int]]:
     return [[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m.rows)]
 
 
-class EigenDecomposition(NamedTuple):
+class EigenDecomposition(namedtuple("EigenDecomposition",
+                                    "matrix char_poly eigenvalues dominant_index left_vector")):
     """Exact spectrum of a shape matrix.  `left_vector` spans the left
-    eigenvectors of the strictly dominant eigenvalue, None without one."""
+    eigenvectors of the strictly dominant eigenvalue, None without one.
 
-    matrix: ShapeMatrix
-    char_poly: tuple[int, ...]
-    eigenvalues: tuple[Eigenvalue, ...]
-    dominant_index: int | None
-    left_vector: tuple[QuadNum, ...] | None
+    Fields: matrix: ShapeMatrix; char_poly: tuple[int, ...]; eigenvalues: tuple[Eigenvalue, ...];
+    dominant_index: int | None; left_vector: tuple[QuadNum, ...] | None."""
+
+    __slots__ = ()
 
     @property
     def dominant(self) -> Eigenvalue:
@@ -367,10 +368,11 @@ def dominant_ray(m: ShapeMatrix | EigenDecomposition) -> Ray:
 # -- orbits -----------------------------------------------------------------------
 
 
-class OrbitSequence(NamedTuple):
-    matrix: ShapeMatrix
-    seed: tuple[int, ...]
-    terms: tuple[tuple[int, ...], ...]
+class OrbitSequence(namedtuple("OrbitSequence", "matrix seed terms")):
+    """Fields: matrix: ShapeMatrix; seed: tuple[int, ...];
+    terms: tuple[tuple[int, ...], ...], M^k(seed) for k = 0..k_max."""
+
+    __slots__ = ()
 
     def term(self, k: int) -> tuple[int, ...]:
         return self.terms[k]
@@ -414,22 +416,21 @@ def iterate(m: ShapeMatrix, seed: Sequence[int], k_max: int, bound: int | None =
 # -- convergence certificates -------------------------------------------------------
 
 
-class ConvergenceCertificate(NamedTuple):
+class ConvergenceCertificate(namedtuple("ConvergenceCertificate", "matrix seed dominant_value left_vector "
+                                                                   "right_vector gamma jordan")):
     """Exact witness that M^k(seed) converges projectively to the dominant ray.
 
     gamma is the coefficient of the seed on the dominant eigenvector in the
     spectral decomposition: gamma = (u . seed) / (u . v) with u, v the left and
     right eigenvectors of the simple dominant eigenvalue.  Together with strict
     dominance, gamma != 0 is exactly projective convergence; no limit is taken.
+
+    Fields: matrix: ShapeMatrix; seed: tuple[int, ...]; dominant_value, gamma: QuadNum;
+    left_vector, right_vector: tuple[QuadNum, ...];
+    jordan: tuple[tuple[QuadNum, int, int], ...], (eigenvalue, algebraic, geometric).
     """
 
-    matrix: ShapeMatrix
-    seed: tuple[int, ...]
-    dominant_value: QuadNum
-    left_vector: tuple[QuadNum, ...]
-    right_vector: tuple[QuadNum, ...]
-    gamma: QuadNum
-    jordan: tuple[tuple[QuadNum, int, int], ...]  # (eigenvalue, algebraic, geometric)
+    __slots__ = ()
 
     @property
     def converges(self) -> bool:

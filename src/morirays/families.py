@@ -27,7 +27,7 @@ display scaling (the Ray class normalizes away the scaling).
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .cremona import ShapeMatrix
 from .dynamics import Ray, iterate
@@ -41,21 +41,20 @@ PENCIL_SEED = (1, 1, 0, 0)
 Invariant = tuple[str, str, bool]
 
 
-class Family(NamedTuple):
+class Family(namedtuple("Family", "tag alias closed_form parent order good matrix invariants scaling",
+                        defaults=(None, lambda n: 1, None, None, None, "scaled"))):
     """One limit family.  `parent` is the matrix family whose limit ray (and,
     for the good sweep `good`, whose pencil orbit) is split to order
     `order(n)` at its first point; the matrix families themselves have no
-    parent and order 1, and carry `matrix`, `invariants` and `scaling`."""
+    parent and order 1, and carry `matrix`, `invariants` and `scaling`.
 
-    tag: str
-    alias: str
-    closed_form: Callable[[int], MultiplicityProfile]
-    parent: str | None = None
-    order: Callable[[int], int] = lambda n: 1
-    good: str | None = None
-    matrix: Callable[[int], ShapeMatrix] | None = None
-    invariants: Callable[[int, int, int, int, int], tuple[Invariant, ...]] | None = None
-    scaling: str = "scaled"
+    Fields: tag, alias: str; closed_form: Callable[[int], MultiplicityProfile];
+    parent, good: str | None = None; order: Callable[[int], int] = lambda n: 1;
+    matrix: Callable[[int], ShapeMatrix] | None = None;
+    invariants: Callable[[int, int, int, int, int], tuple[Invariant, ...]] | None = None;
+    scaling: str = "scaled"."""
+
+    __slots__ = ()
 
 
 def _check_n(n: int) -> int:

@@ -13,12 +13,10 @@ DivisorClass, the point-by-point view, runs them on one-point blocks.
 
 from __future__ import annotations
 
-import re
-from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-from .quadfield import QuadNum, RadicalSum, _build, _Frozen, _root_pieces
+from .quadfield import QuadNum, RadicalSum, _build, _fraction, _Frozen, _ratio, _root_pieces
 
 Coord = "int | QuadNum"
 
@@ -34,9 +32,9 @@ def _coord(x) -> Coord:
         return x
     if isinstance(x, QuadNum):
         return x.to_int() if x.is_integer else x
-    if isinstance(x, (int, Fraction)):
-        n, d = x.numerator, x.denominator  # ints, for a bool too
-        return n if d == 1 else _build(n, 0, d, 1)
+    p = _ratio(x)  # ints, for a bool too
+    if p is not None:
+        return p[0] if p[1] == 1 else _build(p[0], 0, p[1], 1)
     raise TypeError(f"expected coordinate, got {type(x).__name__}")
 
 
@@ -62,14 +60,11 @@ def _div(x: Coord, r: int) -> Coord:
     return _build(x, 0, r, 1) if rem else q
 
 
-_BARE = re.compile(r"\d+$")  # bare nonnegative integer rendering needs no parens
-
-
 def _block_str(value: Coord, count: int) -> str:
     vs = str(value)
     if count == 1:
         return vs
-    if not _BARE.match(vs):
+    if not vs.isdecimal():  # a bare nonnegative integer needs no parens
         vs = f"({vs})"
     return f"{vs}^{count}"
 
@@ -85,7 +80,7 @@ def _coord_from_json(data) -> Coord:
     if isinstance(data, int):
         return data
     if isinstance(data, list):
-        return QuadNum(Fraction(data[0], data[1]))
+        return QuadNum(_fraction(data[0], data[1]))
     return QuadNum.from_json(data)
 
 
@@ -375,7 +370,7 @@ class MultiplicityProfile(_Frozen):
     def pretty(self) -> str:
         inner = ", ".join(_block_str(v, c) for v, c in self.blocks)
         deg = str(self.degree)
-        if not _BARE.match(deg):
+        if not deg.isdecimal():
             deg = f"({deg})"
         return f"L_{deg}({inner})"
 

@@ -12,13 +12,16 @@ renderer, `_decimal`.  No floating point is used anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from itertools import chain
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-RationalLike = Union[int, Fraction]
-QuadLike = Union[int, Fraction, "QuadNum"]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+RationalLike = "int | Fraction"
+QuadLike = "int | Fraction | QuadNum"
 
 
 class MixedRadicandError(ValueError):
@@ -71,10 +74,19 @@ def split_square(n: int) -> tuple[int, int]:
 
 
 def _ratio(x: object) -> tuple[int, int] | None:
-    """(numerator, denominator) of an int or a Fraction, None otherwise."""
-    if isinstance(x, (int, Fraction)):
+    """(numerator, denominator) of an int or a Fraction, None otherwise.  No
+    Fraction exists before its module is loaded, so none is imported here."""
+    fractions = sys.modules.get("fractions")
+    if isinstance(x, int) or fractions is not None and isinstance(x, fractions.Fraction):
         return x.numerator, x.denominator
     return None
+
+
+def _fraction(*args) -> Fraction:
+    """Fraction(*args), importing `fractions` on the first call, not at start-up."""
+    from fractions import Fraction
+
+    return Fraction(*args)
 
 
 def _ratio_str(n: int, d: int) -> str:
@@ -154,11 +166,11 @@ class QuadNum(_Frozen):
 
     @property
     def a(self) -> Fraction:
-        return Fraction(self._a, self._den)
+        return _fraction(self._a, self._den)
 
     @property
     def b(self) -> Fraction:
-        return Fraction(self._b, self._den)
+        return _fraction(self._b, self._den)
 
     @property
     def ints(self) -> tuple[int, int, int]:
@@ -176,7 +188,7 @@ class QuadNum(_Frozen):
     def to_fraction(self) -> Fraction:
         if self._b:
             raise ValueError(f"{self} is irrational")
-        return Fraction(self._a, self._den)
+        return _fraction(self._a, self._den)
 
     def to_int(self) -> int:
         if self._b or self._den != 1:
@@ -187,7 +199,7 @@ class QuadNum(_Frozen):
         return _build(self._a, -self._b, self._den, self.rad)
 
     def norm(self) -> Fraction:
-        return Fraction(self._a * self._a - self._b * self._b * self.rad, self._den * self._den)
+        return _fraction(self._a * self._a - self._b * self._b * self.rad, self._den * self._den)
 
     def _coerce(self, other: QuadLike) -> "QuadNum | None":
         if isinstance(other, QuadNum):
@@ -287,7 +299,7 @@ class QuadNum(_Frozen):
         if self._b:
             return hash((self._a, self._b, self._den, self.rad))
         # equal to the hash of the int or Fraction of the same value
-        return hash(self._a) if self._den == 1 else hash(Fraction(self._a, self._den))
+        return hash(self._a) if self._den == 1 else hash(_fraction(self._a, self._den))
 
     def _cmp(self, other: QuadLike) -> int:
         diff = self.__sub__(other)
@@ -340,7 +352,7 @@ class QuadNum(_Frozen):
 
     @classmethod
     def from_json(cls, data: dict) -> "QuadNum":
-        return cls(Fraction(*data["a"]), Fraction(*data["b"]), data["rad"])
+        return cls(_fraction(*data["a"]), _fraction(*data["b"]), data["rad"])
 
 
 _NEW = object.__new__
@@ -473,7 +485,7 @@ class RadicalSum(_Frozen):
     @property
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
         """The (radicand, coefficient) pairs, coefficients as Fractions."""
-        return tuple((r, Fraction(c, self._den)) for r, c in self._nums)
+        return tuple((r, _fraction(c, self._den)) for r, c in self._nums)
 
     @classmethod
     def from_quad(cls, q: QuadNum) -> "RadicalSum":
@@ -562,4 +574,4 @@ class RadicalSum(_Frozen):
 
     @classmethod
     def from_json(cls, data: dict) -> "RadicalSum":
-        return cls([(Fraction(num, den), rad) for num, den, rad in data["terms"]])
+        return cls([(_fraction(num, den), rad) for num, den, rad in data["terms"]])

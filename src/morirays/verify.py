@@ -16,10 +16,10 @@ multiple m, so it is checked once as a coefficient statement, never swept.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import families
-from .cremona import ReductionResult, cremona_reduce, quadratic_map
+from .cremona import cremona_reduce, quadratic_map
 from .dynamics import (
     ConvergenceCertificate,
     OrbitSizeError,
@@ -34,10 +34,10 @@ from .lattice import DivisorClass, MultiplicityProfile, _is_rational
 from .quadfield import QuadNum, RadicalSum, _ratio_str
 
 
-class Check(NamedTuple):
-    name: str
-    statement: str
-    ok: bool
+class Check(namedtuple("Check", "name statement ok")):
+    """Fields: name, statement: str; ok: bool."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"name": self.name, "statement": self.statement, "ok": self.ok}
@@ -52,21 +52,20 @@ def signed_value_json(value: QuadNum | RadicalSum, sign: int, digits: int) -> di
 # -- pencil certificates -----------------------------------------------------------
 
 
-class PencilCertificate(NamedTuple):
+class PencilCertificate(namedtuple("PencilCertificate", "system reduction endpoint_is_line_pencil "
+                                                         "replay_ok nonnegative_throughout")):
     """Witness that a class is a Cremona transform of the pencil of lines
     through one point, hence dim of its m-th multiple is exactly m.
 
     The certificate is valid when `failure` names no failed condition.  The
     sign guard `nonnegative_throughout` is implied by the others (every class
     on a chain of quadratic maps that ends at a line pencil is a Cremona
-    image of it, hence nonnegative) and stays as a check on the recorded chain."""
+    image of it, hence nonnegative) and stays as a check on the recorded chain.
 
-    system: DivisorClass
-    reduction: ReductionResult
-    endpoint_is_line_pencil: bool
-    replay_ok: bool
-    nonnegative_throughout: bool
+    Fields: system: DivisorClass; reduction: ReductionResult;
+    endpoint_is_line_pencil, replay_ok, nonnegative_throughout: bool."""
 
+    __slots__ = ()
     dimension_statement = "dim of the m-th multiple is m for every m >= 1"
 
     @property
@@ -127,16 +126,15 @@ def certify_pencil(x: DivisorClass) -> PencilCertificate:
 # -- emptiness certificates ---------------------------------------------------------
 
 
-class EmptinessCertificate(NamedTuple):
+class EmptinessCertificate(namedtuple("EmptinessCertificate", "rule order system pencil inequalities")):
     """Witness that every multiple of `system` is empty, by colliding the first
     r^2 points back to one and comparing conditions against the known pencil
-    dimension.  Inequalities are stated symbolically in m; valid when all hold."""
+    dimension.  Inequalities are stated symbolically in m; valid when all hold.
 
-    rule: str
-    order: int
-    system: MultiplicityProfile
-    pencil: PencilCertificate
-    inequalities: tuple[Check, ...]
+    Fields: rule: str; order: int (r); system: MultiplicityProfile; pencil:
+    PencilCertificate; inequalities: tuple[Check, ...]."""
+
+    __slots__ = ()
 
     @property
     def valid(self) -> bool:
@@ -197,13 +195,11 @@ def emptiness_certificate(system: MultiplicityProfile, pencil: MultiplicityProfi
 # -- good-ray certificates -----------------------------------------------------------
 
 
-class GoodRayCertificate(NamedTuple):
-    family: str
-    n: int
-    k: int
-    system: MultiplicityProfile
-    checks: tuple[Check, ...]
-    emptiness: EmptinessCertificate
+class GoodRayCertificate(namedtuple("GoodRayCertificate", "family n k system checks emptiness")):
+    """Fields: family: str; n, k: int; system: MultiplicityProfile; checks:
+    tuple[Check, ...]; emptiness: EmptinessCertificate."""
+
+    __slots__ = ()
 
     @property
     def pencil(self) -> PencilCertificate:
@@ -266,19 +262,15 @@ def verify_good(family: str, n: int, k: int, bound: int | None = None) -> GoodRa
 
 # -- wonderful-ray reports -------------------------------------------------------------
 
-class WonderfulReport(NamedTuple):
-    family: str
-    n: int
-    surface_points: int
-    display: MultiplicityProfile
-    ray: Ray
-    checks: tuple[Check, ...]
-    canonical_pairing: QuadNum
-    defernex_value: RadicalSum
-    defernex_sign: int
-    irrationality: tuple[int, QuadNum] | None
-    convergence: tuple[tuple[tuple[int, ...], ConvergenceCertificate | None], ...]
-    candidates: tuple[tuple[str, str, bool], ...]
+class WonderfulReport(namedtuple("WonderfulReport", "family n surface_points display ray checks "
+                                 "canonical_pairing defernex_value defernex_sign irrationality convergence candidates")):
+    """Fields: family: str; n, surface_points: int; display: MultiplicityProfile;
+    ray: Ray; checks: tuple[Check, ...]; canonical_pairing: QuadNum;
+    defernex_value: RadicalSum; defernex_sign: int; irrationality: tuple[int, QuadNum] | None;
+    convergence: tuple[tuple[tuple[int, ...], ConvergenceCertificate | None], ...];
+    candidates: tuple[tuple[str, str, bool], ...]."""
+
+    __slots__ = ()
 
     @property
     def valid(self) -> bool:
@@ -395,19 +387,19 @@ def wonderful_report(family: str, n: int) -> WonderfulReport:
 # -- De Fernex sign sweeps ---------------------------------------------------------------
 
 
-class SignRow(NamedTuple):
-    n: int
-    sign: int
-    value: RadicalSum
+class SignRow(namedtuple("SignRow", "n sign value")):
+    """Fields: n, sign: int; value: RadicalSum."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"n": self.n, **signed_value_json(self.value, self.sign, 12)}
 
 
-class SignTable(NamedTuple):
-    family: str
-    rows: tuple[SignRow, ...]
-    bounds: tuple[Check, ...]
+class SignTable(namedtuple("SignTable", "family rows bounds")):
+    """Fields: family: str; rows: tuple[SignRow, ...]; bounds: tuple[Check, ...]."""
+
+    __slots__ = ()
 
     @property
     def valid(self) -> bool:

@@ -1,5 +1,6 @@
-"""Result records: immutable NamedTuples, copied with `_replace`, and an import
-path that loads no `dataclasses` and no `json`."""
+"""Result records: immutable named tuples, copied with `_replace`, and an import
+path that loads no `dataclasses`, no `json`, no `fractions` and no `decimal` and
+builds no `typing.ForwardRef`."""
 
 import ast
 import importlib.util
@@ -15,23 +16,37 @@ from morirays import DivisorClass, cremona, dynamics, families, verify
 
 LINE = DivisorClass(1, [1, 0, 0])
 
-# one record of each class, from a real call where one exists
+# one record of each class, from a real call where one exists, and the class's fields
 RECORDS = {
-    "cremona.ReductionResult": lambda: cremona.cremona_reduce(DivisorClass(5, [2, 2, 2, 1])),
-    "dynamics.Eigenvalue": lambda: dynamics.eigen(families.shape_matrix("odd", 2)).eigenvalues[0],
-    "dynamics.EigenDecomposition": lambda: dynamics.eigen(families.shape_matrix("odd", 2)),
-    "dynamics.OrbitSequence": lambda: dynamics.iterate(families.shape_matrix("even", 1), families.PENCIL_SEED, 3),
-    "dynamics.ConvergenceCertificate": lambda: dynamics.certify_convergence(
-        families.shape_matrix("even", 2), families.LINE_SEED),
-    "families.Family": lambda: families.Family("t", "T", families.wonderful_odd),
-    "verify.Check": lambda: verify.Check("name", "statement", True),
-    "verify.PencilCertificate": lambda: verify.certify_pencil(LINE),
-    "verify.EmptinessCertificate": lambda: verify.verify_good("odd", 2, 1).emptiness,
-    "verify.GoodRayCertificate": lambda: verify.verify_good("odd", 2, 1),
-    "verify.WonderfulReport": lambda: verify.wonderful_report("even_plus", 2),
-    "verify.SignRow": lambda: verify.SignRow(1, -1, families.wonderful_profile("sq2", 1).defernex_value()),
-    "verify.SignTable": lambda: verify.defernex_sweep("sq2", 1, 2),
+    "cremona.ReductionResult": (lambda: cremona.cremona_reduce(DivisorClass(5, [2, 2, 2, 1])),
+                                "start reduced steps is_reduced"),
+    "dynamics.Eigenvalue": (lambda: dynamics.eigen(families.shape_matrix("odd", 2)).eigenvalues[0],
+                            "value algebraic geometric vectors"),
+    "dynamics.EigenDecomposition": (lambda: dynamics.eigen(families.shape_matrix("odd", 2)),
+                                    "matrix char_poly eigenvalues dominant_index left_vector"),
+    "dynamics.OrbitSequence": (lambda: dynamics.iterate(families.shape_matrix("even", 1), families.PENCIL_SEED, 3),
+                               "matrix seed terms"),
+    "dynamics.ConvergenceCertificate": (
+        lambda: dynamics.certify_convergence(families.shape_matrix("even", 2), families.LINE_SEED),
+        "matrix seed dominant_value left_vector right_vector gamma jordan"),
+    "families.Family": (lambda: families.Family("t", "T", families.wonderful_odd),
+                        "tag alias closed_form parent order good matrix invariants scaling"),
+    "verify.Check": (lambda: verify.Check("name", "statement", True), "name statement ok"),
+    "verify.PencilCertificate": (lambda: verify.certify_pencil(LINE),
+                                 "system reduction endpoint_is_line_pencil replay_ok nonnegative_throughout"),
+    "verify.EmptinessCertificate": (lambda: verify.verify_good("odd", 2, 1).emptiness,
+                                    "rule order system pencil inequalities"),
+    "verify.GoodRayCertificate": (lambda: verify.verify_good("odd", 2, 1), "family n k system checks emptiness"),
+    "verify.WonderfulReport": (lambda: verify.wonderful_report("even_plus", 2),
+                               "family n surface_points display ray checks canonical_pairing defernex_value "
+                               "defernex_sign irrationality convergence candidates"),
+    "verify.SignRow": (lambda: verify.SignRow(1, -1, families.wonderful_profile("sq2", 1).defernex_value()),
+                       "n sign value"),
+    "verify.SignTable": (lambda: verify.defernex_sweep("sq2", 1, 2), "family rows bounds"),
 }
+
+# Family's defaults, a callable one by its value at n = 7; no other record has any
+FAMILY_DEFAULTS = {"parent": None, "order": 1, "good": None, "matrix": None, "invariants": None, "scaling": "scaled"}
 
 
 def test_every_record_class_is_listed():
@@ -43,9 +58,13 @@ def test_every_record_class_is_listed():
 
 @pytest.mark.parametrize("path", RECORDS)
 def test_record_is_immutable_and_replace_changes_one_field(path):
-    record = RECORDS[path]()
+    make, fields = RECORDS[path]
+    record = make()
     cls = getattr(getattr(morirays, path.split(".")[0]), path.split(".")[1])
     assert type(record) is cls
+    assert cls._fields == tuple(fields.split())
+    defaults = {f: d(7) if callable(d) else d for f, d in cls._field_defaults.items()}
+    assert defaults == (FAMILY_DEFAULTS if cls is families.Family else {})
     before = tuple(record)
     for name in cls._fields:
         with pytest.raises(AttributeError):
@@ -93,3 +112,52 @@ def test_importing_the_cli_loads_no_json():
     added = set(ast.literal_eval(done.stdout))
     assert "morirays.cli" in added
     assert not added & {"json", "json.decoder", "json.encoder", "json.scanner"}
+
+
+def test_importing_the_cli_builds_no_forward_ref_and_loads_no_fractions():
+    """A fresh isolated interpreter counts the typing.ForwardRef objects built
+    while it imports morirays.cli and builds the parser: typing-built records
+    and Union aliases would build one per string annotation.  No fractions or
+    decimal module is loaded either; only modules this adds count."""
+    src = str(Path(morirays.__file__).resolve().parent.parent)
+    probe = ("import sys, typing\n"
+             "built = []\n"
+             "init = typing.ForwardRef.__init__\n"
+             "def counting(self, *args, **kwargs):\n"
+             "    built.append(args[0] if args else kwargs)\n"
+             "    init(self, *args, **kwargs)\n"
+             "typing.ForwardRef.__init__ = counting\n"
+             "before = set(sys.modules)\n"
+             "sys.path.insert(0, sys.argv[1])\n"
+             "import morirays.cli\n"
+             "morirays.cli.build_parser()\n"
+             "print(repr((built, sorted(set(sys.modules) - before))))\n")
+    done = subprocess.run([sys.executable, "-I", "-c", probe, src], capture_output=True, text=True,
+                          timeout=60, check=True)
+    built, added = ast.literal_eval(done.stdout)
+    assert "morirays.cli" in added
+    assert built == []
+    assert not set(added) & {"fractions", "decimal", "_decimal", "numbers"}
+
+
+def test_fractions_imported_after_morirays_are_accepted():
+    """Fraction inputs are recognised without importing fractions, so a
+    Fraction built after morirays was imported still counts as rational."""
+    src = str(Path(morirays.__file__).resolve().parent.parent)
+    probe = ("import sys\n"
+             "sys.path.insert(0, sys.argv[1])\n"
+             "import morirays\n"
+             "from morirays import DivisorClass, QuadNum\n"
+             "assert 'fractions' not in sys.modules\n"
+             "from fractions import Fraction\n"
+             "half = QuadNum(Fraction(1, 2))\n"
+             "assert half == Fraction(1, 2)\n"
+             "assert hash(half) == hash(Fraction(1, 2))\n"
+             "degree = DivisorClass(Fraction(3, 2), [1]).degree\n"
+             "assert type(degree) is QuadNum and degree == QuadNum(3, 0) / 2\n"
+             "assert type(half.a) is Fraction\n"
+             "print('ok')\n")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, src], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
