@@ -6,8 +6,10 @@ Tier-1 is `python -m pytest -q --continue-on-collection-errors --durations=10`
 with `src` on PYTHONPATH; its report ends with the ten slowest tests.
 `tests/test_acceptance.py::test_c5_spectra` must fail: it states an
 odd-family eigenvalue that the matrices provably do not have (README,
-"Known red").  Any other failure or error, and a run where that test passes,
-fails this script.  Then `bench/test_bench.py` must pass.
+"Known red").  So the suite without that test must pass, and that test alone
+must fail (pytest exit 1; a missing test exits 4).  `--deselect` drops every
+node id that starts with the given one, so no other test name may start with
+`test_c5_spectra`.  Then `bench/test_bench.py` must pass.
 """
 
 from __future__ import annotations
@@ -15,41 +17,29 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import tempfile
-import xml.etree.ElementTree as ET
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-EXPECTED_FAILURES = {"tests/test_acceptance.py::test_c5_spectra"}
+EXPECTED_FAILURE = "tests/test_acceptance.py::test_c5_spectra"
 
 
-def failing(junit: Path) -> set[str]:
-    """The ids of the failed and errored test cases in a JUnit XML report."""
-    ids = set()
-    for case in ET.parse(junit).iter("testcase"):
-        if case.find("failure") is not None or case.find("error") is not None:
-            module = case.get("classname", "")
-            ids.add(f"{module.replace('.', '/')}.py::{case.get('name')}" if module else case.get("name"))
-    return ids
+def pytest(*args: str) -> int:
+    """pytest's exit code on `args`, with `src` first on PYTHONPATH."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", *args], cwd=ROOT, env=env).returncode
 
 
 def main() -> int:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
-    with tempfile.TemporaryDirectory() as tmp:
-        junit = Path(tmp) / "tier1.xml"
-        code = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-                               "--durations=10", f"--junitxml={junit}"], cwd=ROOT, env=env).returncode
-        if code not in (0, 1) or not junit.exists():
-            print(f"tier1: pytest exited {code} without a complete report")
-            return 1
-        got = failing(junit)
-    if got != EXPECTED_FAILURES:
-        print(f"tier1: expected exactly {sorted(EXPECTED_FAILURES)} to fail; "
-              f"unexpected failures {sorted(got - EXPECTED_FAILURES)}, unexpected passes "
-              f"{sorted(EXPECTED_FAILURES - got)}")
+    code = pytest("--continue-on-collection-errors", "--durations=10", "--deselect", EXPECTED_FAILURE)
+    if code != 0:
+        print(f"tier1: the suite without {EXPECTED_FAILURE} exited {code}, not 0")
         return 1
-    print(f"tier1: only the intended {sorted(got)} failed")
-    return subprocess.run([sys.executable, "-m", "pytest", "-q", "bench/test_bench.py"], cwd=ROOT).returncode
+    code = pytest(EXPECTED_FAILURE)
+    if code != 1:
+        print(f"tier1: {EXPECTED_FAILURE} alone exited {code}, not 1 (a failure)")
+        return 1
+    print(f"tier1: only the intended {EXPECTED_FAILURE} failed")
+    return pytest("bench/test_bench.py")
 
 
 if __name__ == "__main__":

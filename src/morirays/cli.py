@@ -17,7 +17,6 @@ import functools
 import io
 import os
 import sys
-from typing import Callable
 
 try:  # the C function json.encoder wraps, without importing json
     from _json import encode_basestring_ascii
@@ -58,6 +57,9 @@ MAX_K = 20000
 # composing the (s+1)-square matrices costs O(s^3), and the slowest, CG,
 # takes about 2 s at n = 150 on a 2-core container with Python 3.11.7
 MAX_MATRIX_N = 150
+# eigenray --format json lists every point of the ray, about 170 bytes each:
+# sq2 at n = 1000 has 1,006,011 points and writes 170 MB
+MAX_JSON_POINTS = 1100000
 # 10 ** 4300 takes about 50 µs, and every orbit and verify call asks for it
 _power_of_ten = functools.cache((10).__pow__)
 # the interpreter's limit on integer string conversion: 0 means none, and
@@ -260,7 +262,7 @@ def cmd_orbit(args) -> tuple[str, int]:
     if args.k < 0:
         raise UsageError(f"--k must be >= 0, got {args.k}")
     seed = families.PENCIL_SEED
-    if args.seed:
+    if args.seed is not None:
         try:
             seed = tuple(int(x) for x in args.seed.split(","))
         except ValueError:
@@ -303,6 +305,9 @@ def cmd_eigenray(args) -> tuple[str, int]:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     display = families.wonderful_profile(tag, args.n)
+    if args.format == "json" and display.s > MAX_JSON_POINTS:
+        raise UsageError(f"--n {args.n} is too large: the JSON ray would list {display.s} points; "
+                         f"eigenray --format json stops at {MAX_JSON_POINTS}")
     ray = Ray(display)
     matrix = families.shape_matrix(families.family(tag).parent or tag, args.n)
     dec = eigen(matrix)
@@ -450,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # a subcommand's function, and the argparse action of each of its options by flag
-_Command = tuple[Callable[[argparse.Namespace], tuple[str, int]], dict[str, argparse.Action]]
+_Command = "tuple[Callable[[argparse.Namespace], tuple[str, int]], dict[str, argparse.Action]]"
 
 
 @functools.cache

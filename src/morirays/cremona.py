@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from operator import mul
-from typing import Iterable, Sequence
 
 from .lattice import DivisorClass, ShapeError, is_line_pencil_up_to_permutation
 from .quadfield import _Frozen
@@ -115,7 +114,7 @@ class CharMatrix(_IntMatrix):
         return self @ self == CharMatrix.identity(self.s)
 
     def validate(self) -> None:
-        """Check: preserves the intersection form, fixes K, valid first column."""
+        """Check: preserves the intersection form, fixes K, first column of degree >= 1."""
         n = self.s + 1
         cols = tuple(zip(*self.rows))
         for i, col in enumerate(cols):
@@ -130,15 +129,13 @@ class CharMatrix(_IntMatrix):
         for i, row in enumerate(self.rows):
             if sum(map(mul, row, k)) != k[i]:
                 raise ValueError(f"canonical vector moved at row {i}")
-        net = self.homaloidal_net()
-        d = net.degree
+        # the checks above already give the first column D = M e_0 the numbers
+        # of a homaloidal net: D^2 = (M^T J M)_00 = 1 and, as M^-1 K = K,
+        # K.D = K^T J M e_0 = (M^-1 K)^T J e_0 = -3; so does d = -4 with
+        # m = -1 at 15 points, which only the degree test refuses
+        d = self.rows[0][0]
         if d < 1:
             raise ValueError(f"homaloidal degree {d} < 1")
-        if net.self_intersection() != 1 or net.canonical_pairing() != -3:
-            raise ValueError(
-                f"first column is not homaloidal: d^2-sum(m^2)={net.self_intersection()}, "
-                f"3d-sum(m)={-net.canonical_pairing()}"
-            )
 
     def is_valid(self) -> bool:
         try:

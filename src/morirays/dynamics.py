@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
 
 from .cremona import ShapeMatrix
 from .lattice import DivisorClass, MultiplicityProfile, _ints, _is_rational, _quad
@@ -397,16 +396,15 @@ class OrbitSizeError(ValueError):
 def iterate(m: ShapeMatrix, seed: Sequence[int], k_max: int, bound: int | None = None) -> OrbitSequence:
     """The terms M^k(seed) for k = 0..k_max.  With a `bound`, raises
     OrbitSizeError at the first term with a coordinate of absolute value
-    `bound` or more, before computing the next: a bit-length test per term,
-    and a comparison only when that test cannot tell."""
+    `bound` or more, before computing the next: one comparison per term, so
+    a bound <= 0 raises at k = 0 on any nonempty seed."""
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     seed = tuple(int(x) for x in seed)
     terms = [seed]
-    bits = bound.bit_length() if bound is not None else 0
     for k in range(k_max + 1):
         term = terms[-1]
-        if bits and term and max(map(int.bit_length, term)) >= bits and max(map(abs, term)) >= bound:
+        if bound is not None and term and max(map(abs, term)) >= bound:
             raise OrbitSizeError(k, bound)
         if k < k_max:
             terms.append(tuple(m.apply(term)))

@@ -14,7 +14,6 @@ DivisorClass, the point-by-point view, runs them on one-point blocks.
 from __future__ import annotations
 
 from operator import mul
-from typing import Iterable, Sequence
 
 from .quadfield import QuadNum, RadicalSum, _build, _fraction, _Frozen, _ratio, _root_pieces
 

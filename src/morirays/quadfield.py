@@ -15,10 +15,6 @@ from __future__ import annotations
 import sys
 from itertools import chain
 from math import gcd, isqrt, lcm
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 RationalLike = "int | Fraction"
 QuadLike = "int | Fraction | QuadNum"

@@ -90,6 +90,8 @@ def corpus() -> list[list[str]]:
     for argv in (["pair", "--ray", "odd:2", "--with", "K"], ["orbit", "--family", "odd", "--n", "1", "--k", "1"],
                  ["verify", "--family", "even", "--n", "1", "--k", "1"]):
         argvs += [[*argv, "--out", "missing/out.txt"], [*argv, "--out", "."]]
+    argvs += [["eigenray", "--family", "sq2", "--n", "10000", "--format", "json"],
+              ["orbit", "--family", "odd", "--n", "1", "--k", "1", "--seed="]]
     return argvs
 
 

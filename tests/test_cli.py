@@ -12,8 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import morirays
-from morirays import (CharMatrix, DivisorClass, MultiplicityProfile, RadicalSum, Ray, ShapeMatrix, dynamics, families,
-                      verify)
+from morirays import (CharMatrix, DivisorClass, MultiplicityProfile, RadicalSum, Ray, ShapeMatrix, cli, dynamics,
+                      families, verify)
 from morirays.cli import _parse, build_parser, main
 from morirays.dynamics import char_poly
 
@@ -87,6 +87,13 @@ def test_orbit_usage_errors(capsys):
     assert run(capsys, "orbit", "--family", "odd", "--n", "2", "--k", "-1")[0] == 2
     assert run(capsys, "orbit", "--family", "odd", "--n", "2", "--k", "1", "--seed", "1,2")[0] == 2
     assert run(capsys, "orbit", "--family", "odd", "--n", "2", "--k", "1", "--seed", "a,b,c,d")[0] == 2
+
+
+@pytest.mark.parametrize("seed", [["--seed", ""], ["--seed="]])
+def test_an_empty_seed_is_refused(capsys, seed):
+    code, out, err = run(capsys, "orbit", "--family", "odd", "--n", "1", "--k", "1", *seed)
+    assert (code, out) == (2, "")
+    assert err == "error: bad seed ''; expected comma-separated integers\n"
 
 
 def test_eigenray_pretty(capsys):
@@ -671,6 +678,26 @@ def test_matrix_n_past_the_cap_is_refused_in_time(kind, n):
                           capture_output=True, text=True, env=_module_env(), timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: --n {n} is too large: matrix stops at n = 150\n"
+
+
+@pytest.mark.parametrize("family,n,points", [("sq2", 10000, 100060011), ("odd", 549997, 1100001)])
+def test_eigenray_json_past_the_point_cap_is_refused_in_time(family, n, points):
+    # the JSON ray lists every point, about 170 bytes each
+    proc = subprocess.run([sys.executable, "-m", "morirays", "eigenray", "--family", family, "--n", str(n),
+                           "--format", "json"], capture_output=True, text=True, env=_module_env(), timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: --n {n} is too large: the JSON ray would list {points} points; "
+                           f"eigenray --format json stops at 1100000\n")
+
+
+def test_eigenray_json_runs_up_to_the_point_cap(capsys, monkeypatch):
+    assert cli.MAX_JSON_POINTS >= families.wonderful_profile("sq2", 1000).s
+    points = families.wonderful_profile("odd", 2).s
+    monkeypatch.setattr(cli, "MAX_JSON_POINTS", points)
+    code, out, err = run(capsys, "eigenray", "--family", "odd", "--n", "2", "--format", "json")
+    assert (code, err) == (0, "") and len(json.loads(out)["dominant_ray"]["class"]["mults"]) == points
+    monkeypatch.setattr(cli, "MAX_JSON_POINTS", points - 1)
+    assert run(capsys, "eigenray", "--family", "odd", "--n", "2", "--format", "json")[:2] == (2, "")
 
 
 def test_matrix_n_at_the_cap_runs(capsys):

@@ -80,6 +80,8 @@ GENERATORS = [
 def test_generators_orthogonal_fix_canonical_involutive(build):
     m = build()
     m.validate()  # M^T J M = J for the form diag(1, -1, ..., -1)
+    net = m.homaloidal_net()  # validate's two checks imply these, so it does not test them
+    assert (net.self_intersection(), net.canonical_pairing()) == (1, -3)
     k = canonical_class(m.s)
     assert m.apply(k) == k
     assert m.is_involution()

@@ -614,3 +614,11 @@ def test_iterate_stops_at_the_first_term_that_reaches_the_bound():
     assert iterate(m, (-3, 0, 0, 0), 0, 4).terms == ((-3, 0, 0, 0),)
     with pytest.raises(OrbitSizeError):
         iterate(m, (-4, 0, 0, 0), 0, 4)
+
+
+@pytest.mark.parametrize("bound", [0, -1, -(1 << 70)])
+def test_iterate_with_a_bound_of_zero_or_less_stops_at_the_seed(bound):
+    # an absolute value is >= 0, so even the zero seed reaches any bound <= 0
+    with pytest.raises(OrbitSizeError) as e:
+        iterate(odd_shape_matrix(2), (0, 0, 0, 0), 3, bound)
+    assert e.value.k == 0

@@ -1,10 +1,9 @@
 """Result records: immutable named tuples, copied with `_replace`, and an import
-path that loads no `dataclasses`, no `json`, no `fractions` and no `decimal` and
-builds no `typing.ForwardRef`."""
+path that loads no `typing`, no `dataclasses`, no `json`, no `fractions` and no
+`decimal` and builds no `typing.ForwardRef`."""
 
 import ast
 import importlib.util
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -77,29 +76,13 @@ def test_record_is_immutable_and_replace_changes_one_field(path):
     assert all(getattr(copy, f) is getattr(record, f) for f in cls._fields if f != field)
 
 
-def test_importing_the_cli_loads_no_dataclasses_inspect_or_csv():
-    """A fresh isolated interpreter imports morirays.cli and builds the parser;
-    only modules this adds count, not ones a site .pth file preloads."""
-    src = str(Path(morirays.__file__).resolve().parent.parent)
-    probe = ("import json, sys\n"
-             "before = set(sys.modules)\n"
-             "sys.path.insert(0, sys.argv[1])\n"
-             "import morirays.cli\n"
-             "morirays.cli.build_parser()\n"
-             "print(json.dumps(sorted(set(sys.modules) - before)))\n")
-    done = subprocess.run([sys.executable, "-I", "-c", probe, src], capture_output=True, text=True,
-                          timeout=60, check=True)
-    added = set(json.loads(done.stdout))
-    assert "morirays.cli" in added
-    assert not added & {"dataclasses", "inspect", "csv"}
-
-
-@pytest.mark.skipif(importlib.util.find_spec("_json") is None, reason="no C JSON module; cli falls back to json.encoder")
-def test_importing_the_cli_loads_no_json():
-    """The JSON writer takes encode_basestring_ascii from the C module _json,
-    so a fresh isolated interpreter that imports morirays.cli and builds the
-    parser loads no json module.  The probe imports no json itself: it prints
-    with repr."""
+def test_importing_the_cli_loads_no_typing_dataclasses_inspect_csv_or_json():
+    """A fresh interpreter with no site imports morirays.cli and builds the
+    parser; only modules this adds count.  Without -S a site .pth file may
+    preload typing and contextlib, and the probe could not see them.  The
+    JSON writer takes encode_basestring_ascii from the C module _json, so no
+    json module loads where _json exists.  The probe prints with repr, so it
+    imports no json itself."""
     src = str(Path(morirays.__file__).resolve().parent.parent)
     probe = ("import sys\n"
              "before = set(sys.modules)\n"
@@ -107,11 +90,14 @@ def test_importing_the_cli_loads_no_json():
              "import morirays.cli\n"
              "morirays.cli.build_parser()\n"
              "print(repr(sorted(set(sys.modules) - before)))\n")
-    done = subprocess.run([sys.executable, "-I", "-c", probe, src], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, src], capture_output=True, text=True,
                           timeout=60, check=True)
     added = set(ast.literal_eval(done.stdout))
     assert "morirays.cli" in added
-    assert not added & {"json", "json.decoder", "json.encoder", "json.scanner"}
+    forbidden = {"typing", "contextlib", "dataclasses", "inspect", "csv"}
+    if importlib.util.find_spec("_json") is not None:
+        forbidden |= {"json", "json.decoder", "json.encoder", "json.scanner"}
+    assert not added & forbidden
 
 
 def test_importing_the_cli_builds_no_forward_ref_and_loads_no_fractions():
