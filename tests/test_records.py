@@ -3,6 +3,7 @@ path that loads no `typing`, no `dataclasses`, no `json`, no `fractions` and no
 `decimal` and builds no `typing.ForwardRef`."""
 
 import ast
+import functools
 import importlib.util
 import subprocess
 import sys
@@ -76,13 +77,12 @@ def test_record_is_immutable_and_replace_changes_one_field(path):
     assert all(getattr(copy, f) is getattr(record, f) for f in cls._fields if f != field)
 
 
-def test_importing_the_cli_loads_no_typing_dataclasses_inspect_csv_or_json():
+@functools.lru_cache(maxsize=None)
+def modules_added_by_a_bare_cli_import():
     """A fresh interpreter with no site imports morirays.cli and builds the
     parser; only modules this adds count.  Without -S a site .pth file may
     preload typing and contextlib, and the probe could not see them.  The
-    JSON writer takes encode_basestring_ascii from the C module _json, so no
-    json module loads where _json exists.  The probe prints with repr, so it
-    imports no json itself."""
+    probe prints with repr, so it imports no json itself."""
     src = str(Path(morirays.__file__).resolve().parent.parent)
     probe = ("import sys\n"
              "before = set(sys.modules)\n"
@@ -92,12 +92,24 @@ def test_importing_the_cli_loads_no_typing_dataclasses_inspect_csv_or_json():
              "print(repr(sorted(set(sys.modules) - before)))\n")
     done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, src], capture_output=True, text=True,
                           timeout=60, check=True)
-    added = set(ast.literal_eval(done.stdout))
+    added = frozenset(ast.literal_eval(done.stdout))
     assert "morirays.cli" in added
-    forbidden = {"typing", "contextlib", "dataclasses", "inspect", "csv"}
-    if importlib.util.find_spec("_json") is not None:
-        forbidden |= {"json", "json.decoder", "json.encoder", "json.scanner"}
-    assert not added & forbidden
+    return added
+
+
+def test_importing_the_cli_loads_no_typing_or_contextlib():
+    assert not modules_added_by_a_bare_cli_import() & {"typing", "contextlib"}
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_csv():
+    assert not modules_added_by_a_bare_cli_import() & {"dataclasses", "inspect", "csv"}
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_json") is None, reason="no C JSON module; cli falls back to json.encoder")
+def test_importing_the_cli_loads_no_json():
+    """The JSON writer takes encode_basestring_ascii from the C module _json,
+    so no json module loads where _json exists."""
+    assert not modules_added_by_a_bare_cli_import() & {"json", "json.decoder", "json.encoder", "json.scanner"}
 
 
 def test_importing_the_cli_builds_no_forward_ref_and_loads_no_fractions():
