@@ -1,7 +1,8 @@
 """Orbits and spectra of shape matrices, and rays in the divisor space.
 
 Everything is exact and integer until the last step.  The characteristic
-polynomial comes from Faddeev-LeVerrier on the integer rows.  Its rational
+polynomial comes from Newton's identities on the power sums tr(M^k), which
+the powers of M up to ceil(n/2) give on the integer rows.  Its rational
 roots are integer divisors of its constant term; what is left is at most one
 irreducible quadratic factor, with roots (a +- b*sqrt(N))/d for integers a,
 b, d.  The eigenvector of a simple eigenvalue, and the left eigenvector of
@@ -10,18 +11,22 @@ eigenvalues (Cayley-Hamilton projection), made on Z[sqrt(N)] pairs.  A
 repeated eigenvalue is rational, since the quadratic factor's roots are
 simple, and takes fraction-free Gauss-Jordan elimination on the integer
 rows.  Only the finished entries become QuadNum.  Dominance is
-certified by sign computations rather than numerics.
+certified by sign computations on (alpha, beta, delta) triples rather than
+numerics.  A Ray is normalized on (a, b, den) triples of ints and a dot
+product is summed in one pass over a running common denominator; each
+builds its QuadNums once, at the end.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
 from .cremona import ShapeMatrix
-from .lattice import DivisorClass, MultiplicityProfile, _ints, _is_rational, _quad
-from .quadfield import MixedRadicandError, QuadNum, _build, _Frozen, split_square
+from .lattice import DivisorClass, MultiplicityProfile, _ints, _is_rational, _stored
+from .quadfield import MixedRadicandError, QuadNum, _build, _Frozen, _sign, split_square
 
 
 class SpectrumError(ValueError):
@@ -32,16 +37,28 @@ class SpectrumError(ValueError):
 
 
 def char_poly(m: ShapeMatrix) -> tuple[int, ...]:
-    """Coefficients of det(xI - M), highest power first (monic, integer):
-    Faddeev-LeVerrier, M_i = M (M_{i-1} + c_{i-1} I) and c_i = -tr(M_i)/i,
-    on the integer rows."""
-    coeffs = [1, -m.trace()]
-    power = m.rows
-    for i in range(2, m.size + 1):
-        c = coeffs[-1]
-        cols = [[x + c if j == k else x for j, x in enumerate(col)] for k, col in enumerate(zip(*power))]
-        power = [[sum(map(mul, row, col)) for col in cols] for row in m.rows]
-        coeffs.append(-sum(r[j] for j, r in enumerate(power)) // i)  # exact: i divides the trace
+    """Coefficients of det(xI - M), highest power first (monic, integer).
+
+    Newton's identities give k*c_k = -(p_k + c_1*p_(k-1) + ... + c_(k-1)*p_1)
+    from the power sums p_k = tr(M^k), and the division by k is exact.
+    tr(M^(i+j)) is the sum of the entries of M^i times those of the
+    transpose of M^j, so the powers of M up to ceil(n/2) give every p_k for
+    k <= n: one product for a 4x4 matrix.
+    """
+    rows = m.rows
+    n = len(rows)
+    cols = tuple(zip(*rows))
+    powers = [rows]  # M^1 .. M^ceil(n/2)
+    for _ in range((n - 1) // 2):
+        powers.append([[sum(map(mul, row, col)) for col in cols] for row in powers[-1]])
+    by_rows = [tuple(chain.from_iterable(p)) for p in powers]
+    by_cols = [tuple(chain.from_iterable(zip(*p))) for p in powers]
+    sums = [m.trace()]
+    for k in range(2, n + 1):
+        sums.append(sum(map(mul, by_rows[k // 2 - 1], by_cols[(k + 1) // 2 - 1])))
+    coeffs = [1]
+    for k in range(1, n + 1):
+        coeffs.append(-(sums[k - 1] + sum(map(mul, coeffs[1:], reversed(sums[: k - 1])))) // k)
     return tuple(coeffs)
 
 
@@ -178,6 +195,9 @@ def _projected(
         xs[j] = 1
         for alpha, beta, delta in factors:
             mx = [sum(map(mul, row, xs)) for row in rows]
+            if not (beta or any(ys)):  # a rational factor keeps ys zero
+                xs = [delta * t - alpha * x for t, x in zip(mx, xs)]
+                continue
             my = [sum(map(mul, row, ys)) for row in rows] if any(ys) else ys
             br = beta * rad
             xs, ys = (
@@ -189,9 +209,9 @@ def _projected(
             # divide by u + w*sqrt(rad): times its conjugate, over its norm
             u, w = xs[last], ys[last]
             nrm, wr = u * u - w * w * rad, w * rad
-            return tuple(
+            return tuple([
                 _build(x * u - y * wr, y * u - x * w, nrm, rad) if x or y else _Q0 for x, y in zip(xs, ys)
-            )
+            ])
     raise AssertionError("p(M) vanished: lam is not a simple eigenvalue")
 
 
@@ -266,16 +286,20 @@ def eigen(m: ShapeMatrix) -> EigenDecomposition:
             vecs = tuple(_kernel(_shifted(m, lam[0])))
         eigenvalues.append(Eigenvalue(_build(*lam, rad), alg, len(vecs), vecs))
 
-    dominant = None
-    for i, e in enumerate(eigenvalues):
-        if dominant is None or (abs(e.value) - abs(eigenvalues[dominant].value)).sign() > 0:
+    # |lambda| for each (alpha, beta, delta), as the triple times the sign of
+    # its numerator; all share one radicand, so a difference of two is a triple
+    mags = [(a * sign, b * sign, d) for (a, b, d), _ in spectrum for sign in (_sign(a, b, rad),)]
+
+    def exceeds(i: int, j: int) -> bool:
+        (a, b, d), (x, y, e) = mags[i], mags[j]
+        return _sign(a * e - x * d, b * e - y * d, rad) > 0
+
+    dominant = 0
+    for i in range(1, len(mags)):
+        if exceeds(i, dominant):
             dominant = i
     # dominance here means simple and strictly largest in absolute value
-    strict = eigenvalues[dominant].algebraic == 1 and all(
-        (abs(eigenvalues[dominant].value) - abs(e.value)).sign() > 0
-        for i, e in enumerate(eigenvalues)
-        if i != dominant
-    )
+    strict = spectrum[dominant][1] == 1 and all(exceeds(dominant, i) for i in range(len(mags)) if i != dominant)
     if not strict:
         return EigenDecomposition(m, coeffs, tuple(eigenvalues), None, None)
     left = _projected(tuple(zip(*m.rows)), spectrum[dominant][0], spectrum, rad)
@@ -297,18 +321,37 @@ class Ray(_Frozen):
     are equal iff their canonical forms coincide, regardless of the (possibly
     irrational) positive scalar between representatives or of how the points
     were grouped into blocks.  Only `to_json` lists every point.
+
+    It is made on ints.  Equal adjacent blocks merge first: a nonzero
+    scalar keeps equal values equal and distinct ones distinct.  Each
+    coordinate (a, b, den) times the conjugate of |lead| over its norm is
+    reduced, and all are multiplied by the lcm of those denominators.  An
+    irrational lead refuses a coordinate over another radicand, as QuadNum
+    `*` does; a rational lead keeps several.
     """
 
     __slots__ = ("rep",)
 
     def __init__(self, x: MultiplicityProfile | DivisorClass):
-        p = x.to_profile() if isinstance(x, DivisorClass) else x
-        lead = next((c for c in (p.degree,) + p.values if c), None)
+        p = x.to_profile() if isinstance(x, DivisorClass) else x.canonical()
+        coords = (p.degree,) + p.values
+        lead = next((c for c in coords if c), None)
         if lead is None:
             raise ValueError("zero class spans no ray")
-        p = p.scale(_quad(abs(lead)).inverse())
-        denom = lcm(*(_ints(c)[2] for c in (p.degree,) + p.values))
-        object.__setattr__(self, "rep", p.scale(denom).canonical())
+        la, lb, ld = _ints(abs(lead))
+        rad = lead.rad if lb else 1
+        u, w, nrm = ld * la, -ld * lb, la * la - lb * lb * rad  # 1/|lead| = (u + w*sqrt(rad))/nrm
+        parts = []  # (a, b, den, rad) of each coordinate over |lead|
+        for c in coords:
+            a, b, den = _ints(c)
+            r = c.rad if b else rad
+            if w and r != rad:
+                raise MixedRadicandError(f"radicands {r} and {rad} are incompatible")
+            parts.append((a * u + b * w * r, a * w + b * u, den * nrm, r))
+        denom = lcm(*(abs(d) // gcd(a, b, d) for a, b, d, _ in parts))
+        degree, *values = (_build(a * denom // d, b * denom // d, 1, r) if b else a * denom // d
+                           for a, b, d, r in parts)
+        object.__setattr__(self, "rep", _stored(MultiplicityProfile, degree, tuple(zip(values, p.counts))))
 
     @classmethod
     def from_profile(cls, p: MultiplicityProfile) -> "Ray":
@@ -457,18 +500,26 @@ class ConvergenceCertificate(namedtuple("ConvergenceCertificate", "matrix seed d
 
 
 def _dot(u: Sequence, v: Sequence) -> QuadNum:
-    """Sum of the products u_i * v_i of int and QuadNum entries, multiplied and
-    summed as ints over a common denominator and built once.  Entries over two
+    """Sum of the products u_i * v_i of int and QuadNum entries, in one pass
+    on ints over a running common denominator, built once.  Entries over two
     irrational radicands raise MixedRadicandError."""
-    pairs = list(zip(u, v))
-    rads = {x.rad for p in pairs for x in p if type(x) is QuadNum} - {1}
-    if len(rads) > 1:
-        raise MixedRadicandError(f"radicands {' and '.join(map(str, sorted(rads)))} are incompatible")
-    rad = rads.pop() if rads else 1
-    prods = [(a * c + b * e * rad, a * e + b * c, d * f) for (a, b, d), (c, e, f) in
-             ((_ints(x), _ints(y)) for x, y in pairs)]
-    den = lcm(*(d for _, _, d in prods))
-    return _build(sum(a * (den // d) for a, _, d in prods), sum(b * (den // d) for _, b, d in prods), den, rad)
+    rad, num_a, num_b, den = 1, 0, 0, 1
+    for x, y in zip(u, v):
+        a, b, d = _ints(x)
+        c, e, f = _ints(y)
+        if b or e:
+            if rad == 1:
+                rad = x.rad if b else y.rad
+            if b and x.rad != rad or e and y.rad != rad:
+                rads = {z.rad for p in zip(u, v) for z in p if type(z) is QuadNum} - {1}
+                raise MixedRadicandError(f"radicands {' and '.join(map(str, sorted(rads)))} are incompatible")
+        pa, pb, pd = a * c + b * e * rad, a * e + b * c, d * f
+        if pd != den:
+            common = lcm(den, pd)
+            num_a, num_b, den = num_a * (common // den), num_b * (common // den), common
+            pa, pb = pa * (common // pd), pb * (common // pd)
+        num_a, num_b = num_a + pa, num_b + pb
+    return _build(num_a, num_b, den, rad)
 
 
 def certify_convergence(m: ShapeMatrix | EigenDecomposition, seed: Sequence[int]) -> ConvergenceCertificate:

@@ -467,6 +467,34 @@ def test_spectra_against_sympy():
         assert ours == theirs, m.rows
 
 
+
+def _faddeev_leverrier(rows):
+    """det(xI - M), highest power first: M_i = M (M_{i-1} + c_{i-1} I), c_i = -tr(M_i)/i."""
+    n = len(rows)
+    coeffs, power = [1], [[0] * n for _ in range(n)]
+    for i in range(1, n + 1):
+        shifted = [[x + coeffs[-1] * (j == k) for k, x in enumerate(row)] for j, row in enumerate(power)]
+        power = [[sum(r[t] * shifted[t][k] for t in range(n)) for k in range(n)] for r in rows]
+        trace = sum(power[j][j] for j in range(n))
+        assert trace % i == 0
+        coeffs.append(-trace // i)
+    return tuple(coeffs)
+
+
+def test_char_poly_against_sympy_on_random_matrices_of_every_size():
+    # every family matrix is 4x4; these cover both parities of the size
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(2417)
+    for size in range(1, 9):
+        for trial in range(12):
+            span = 3 if trial < 6 else 10 ** rng.randint(1, 12)
+            rows = [[rng.randint(-span, span) for _ in range(size)] for _ in range(size)]
+            coeffs = char_poly(ShapeMatrix(rows, counts=[1] * (size - 1)))
+            assert coeffs == _faddeev_leverrier(rows), rows
+            assert list(coeffs) == sympy.Matrix(rows).charpoly(x).all_coeffs(), rows
+
+
 coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=9)
 
 
@@ -482,6 +510,82 @@ def test_ray_representative_is_primitive_and_scale_free(blocks, rad, scale):
     assert all(den == 1 for _, _, den in parts)
     assert math.gcd(*(x for a, b, _ in parts for x in (a, b))) == 1
     assert Ray(p.scale(scale)) == ray == Ray(p.scale(QuadNum(scale, 1, rad) * QuadNum(scale, 1, rad)))
+
+
+
+def test_ray_keeps_mixed_radicands_under_a_rational_lead_and_refuses_them_otherwise():
+    r2, r3 = QuadNum.sqrt(2), QuadNum.sqrt(3)
+    kept = Ray(DivisorClass(1, [r2, r3]))
+    assert kept.rep == MultiplicityProfile(1, [(r2, 1), (r3, 1)])
+    assert [v.rad for v in kept.rep.values] == [2, 3]
+    for p in (DivisorClass(r2, [r3]), DivisorClass(1 + r2, [1, r3]), DivisorClass(0, [r2, 1, r3])):
+        with pytest.raises(MixedRadicandError, match=r"^radicands 3 and 2 are incompatible$"):
+            Ray(p)
+    with pytest.raises(MixedRadicandError, match=r"^radicands 2 and 3 are incompatible$"):
+        Ray(DivisorClass(r3, [1, r2, QuadNum(1, 1, 5)]))
+
+
+def _ray_rep_by_scaling(x):
+    """Ray's stored form by QuadNum arithmetic: scale by the inverse of the
+    absolute value of the first nonzero coordinate, then by the lcm of the
+    denominators, then merge adjacent equal blocks."""
+    p = x.to_profile() if isinstance(x, DivisorClass) else x
+    lead = next(c for c in (p.degree,) + p.values if c)
+    p = p.scale(abs(QuadNum(lead) if type(lead) is int else lead).inverse())
+    denom = lcm(*((QuadNum(c) if type(c) is int else c).ints[2] for c in (p.degree,) + p.values))
+    return p.scale(denom).canonical()
+
+
+def _assert_ray_rep_as_by_scaling(x):
+    assert repr(Ray(x).rep) == repr(_ray_rep_by_scaling(x)), x
+
+
+def _family_profiles():
+    """The six families' closed forms and dominant eigenvector profiles at n = 1..40."""
+    for tag in families.WONDERFUL_TAGS:
+        for n in range(1, 41):
+            p = families.wonderful_profile(tag, n)
+            yield p
+            m = _shape_matrix(tag, n)
+            dec = eigen(m)
+            if dec.dominant_index is not None:
+                vec = dec.dominant.vectors[0]
+                yield MultiplicityProfile(vec[0], list(zip(vec[1:], m.counts)))
+
+
+def test_ray_stored_form_matches_scaling_on_the_families():
+    irrational = rational = 0
+    for p in _family_profiles():
+        rad = next((v.rad for v in (p.degree,) + p.values if type(v) is QuadNum and v.rad > 1), 5)
+        multiples = (3, -2, F(5, 7), F(-1, 6), QuadNum(F(7, 3)), QuadNum(2, 1, rad), QuadNum(F(-1, 2), F(3, 4), rad))
+        for x in (p, *(p.scale(c) for c in multiples)):
+            _assert_ray_rep_as_by_scaling(x)
+        for point in {1, p.s // 2 + 1, p.s}:
+            for r in (2, 3):
+                _assert_ray_rep_as_by_scaling(p.uncollide(point, r))
+        if p.s <= 60:
+            _assert_ray_rep_as_by_scaling(p.expand())
+            _assert_ray_rep_as_by_scaling(p.expand() * F(-3, 4))
+        irrational += not Ray(p).is_rational
+        rational += Ray(p).is_rational
+    assert irrational > 300 and rational > 0
+
+
+ray_coordinates = st.one_of(
+    st.just(0), st.integers(-30, 30), coefficients.map(QuadNum),
+    st.builds(QuadNum, coefficients, coefficients, st.just(6)),
+)
+
+
+@given(ray_coordinates, st.lists(st.tuples(ray_coordinates, st.integers(1, 3)), max_size=6))
+def test_ray_stored_form_matches_scaling_on_random_profiles(degree, blocks):
+    p = MultiplicityProfile(degree, blocks)
+    if not any((p.degree,) + p.values):
+        with pytest.raises(ValueError, match="zero class spans no ray"):
+            Ray(p)
+        return
+    _assert_ray_rep_as_by_scaling(p)
+    _assert_ray_rep_as_by_scaling(p.expand())
 
 
 # -- eigenvectors of simple eigenvalues by projection -------------------------------
