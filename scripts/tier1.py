@@ -2,59 +2,58 @@
 
     python scripts/tier1.py
 
-Tier-1 is `python -m pytest -q --continue-on-collection-errors --durations=10`
-with `src` on PYTHONPATH; its report ends with the ten slowest tests.
-`tests/test_acceptance.py::test_c5_spectra` must fail: it states an
-odd-family eigenvalue that the matrices provably do not have (README,
-"Known red").  So the suite without that test must pass, and that test alone
-must fail (pytest exit 1; a missing test exits 4).  `--deselect` drops every
-node id that starts with the given one, so first the collected node ids
-(`--collect-only -q`) are compared with and without it: the deselect must
-remove that one test and nothing else, or the gate fails before any test
-runs.  Then `bench/test_bench.py` must pass.
+One in-process pytest session runs `tests` and `bench/test_bench.py` with
+`--continue-on-collection-errors --durations=10`, so its report ends with the
+ten slowest tests.  The `Failures` plugin records the node id and phase of
+every failed report: a module that fails to collect, and a test that fails in
+setup, call or teardown.  `tests/test_acceptance.py::test_c5_spectra` must
+fail: it states an odd-family eigenvalue that the matrices provably do not
+have (README, "Known red").  So the gate passes only if pytest exits 1 (tests
+failed) and the one failure recorded is that test, in its call phase.
 """
 
 from __future__ import annotations
 
 import os
-import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+ARGS = ("-q", "--continue-on-collection-errors", "--durations=10", "tests", "bench/test_bench.py")
 EXPECTED_FAILURE = "tests/test_acceptance.py::test_c5_spectra"
-SUITE = ("--continue-on-collection-errors",)
-DESELECT = ("--deselect", EXPECTED_FAILURE)
 
 
-def pytest(*args: str, capture: bool = False) -> subprocess.CompletedProcess:
-    """pytest on `args`, with `src` first on PYTHONPATH."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "pytest", "-q", *args], cwd=ROOT, env=env,
-                          capture_output=capture, text=capture)
+class Failures:
+    """A pytest plugin that records (node id, phase) of each failed report."""
+
+    def __init__(self) -> None:
+        self.failed: set[tuple[str, str]] = set()
+
+    def pytest_collectreport(self, report) -> None:
+        if report.failed:
+            self.failed.add((report.nodeid, "collect"))
+
+    def pytest_runtest_logreport(self, report) -> None:
+        if report.failed:
+            self.failed.add((report.nodeid, report.when))
 
 
-def collected(*args: str) -> set[str]:
-    """The node ids that pytest collects on `args`."""
-    out = pytest("--collect-only", *args, capture=True).stdout
-    return {line for line in out.splitlines() if "::" in line}
+def verdict(code: int, failed: set[tuple[str, str]]) -> tuple[int, str]:
+    """The gate's exit code and report line for a session's exit code and failures."""
+    if code == pytest.ExitCode.TESTS_FAILED and failed == {(EXPECTED_FAILURE, "call")}:
+        return 0, f"tier1: only the intended {EXPECTED_FAILURE} failed"
+    return 1, (f"tier1: pytest exited {int(code)} with failures {sorted(failed)}, "
+               f"not {EXPECTED_FAILURE} alone in its call phase")
 
 
 def main() -> int:
-    dropped = collected(*SUITE) - collected(*SUITE, *DESELECT)
-    if dropped != {EXPECTED_FAILURE}:
-        print(f"tier1: --deselect {EXPECTED_FAILURE} drops {sorted(dropped)}, not that test alone")
-        return 1
-    code = pytest(*SUITE, "--durations=10", *DESELECT).returncode
-    if code != 0:
-        print(f"tier1: the suite without {EXPECTED_FAILURE} exited {code}, not 0")
-        return 1
-    code = pytest(EXPECTED_FAILURE).returncode
-    if code != 1:
-        print(f"tier1: {EXPECTED_FAILURE} alone exited {code}, not 1 (a failure)")
-        return 1
-    print(f"tier1: only the intended {EXPECTED_FAILURE} failed")
-    return pytest("bench/test_bench.py").returncode
+    os.chdir(ROOT)
+    plugin = Failures()
+    code, line = verdict(pytest.main(list(ARGS), plugins=[plugin]), plugin.failed)
+    print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ except ImportError:
 
 from . import families, verify
 from .cremona import (
+    MAX_REDUCTION_STEPS,
     CharMatrix,
     bertini_map,
     double_jonquieres_geiser,
@@ -362,6 +363,10 @@ def cmd_verify(args) -> tuple[str, int]:
         raise UsageError(f"--n must start at >= 1, got {n_lo}")
     if k_lo < 0:
         raise UsageError(f"--k must start at >= 0, got {k_lo}")
+    # no certificate holds at k = 0, and from k = 1 on the pencil class at n
+    # takes more than n reduction steps, so none past this n can hold
+    if n_hi > MAX_REDUCTION_STEPS:
+        raise UsageError(f"--n {args.n} is too large: verify stops at n = {MAX_REDUCTION_STEPS}")
 
     bound = _power_of_ten(_digit_limit())
     try:

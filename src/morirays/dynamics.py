@@ -90,8 +90,9 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _rational_roots(coeffs: list[int]) -> list[int]:
-    """All rational roots of a monic integer polynomial, with multiplicity.
+def _rational_roots(coeffs: list[int]) -> tuple[list[int], list[int]]:
+    """All rational roots of a monic integer polynomial, with multiplicity,
+    and the cofactor left after deflating by each of them.
 
     By the rational root theorem they are integers dividing the constant
     term; deflating by one leaves a constant term that divides the old one,
@@ -106,7 +107,7 @@ def _rational_roots(coeffs: list[int]) -> list[int]:
             while len(coeffs) > 1 and _poly_eval(coeffs, root) == 0:
                 roots.append(root)
                 coeffs = _deflate(coeffs, root)
-    return roots
+    return roots, coeffs
 
 
 class Eigenvalue(namedtuple("Eigenvalue", "value algebraic geometric vectors")):
@@ -250,10 +251,7 @@ def eigen(m: ShapeMatrix) -> EigenDecomposition:
     """Exact spectrum; supports any number of rational eigenvalues plus at most
     one irreducible quadratic factor (a conjugate pair a +- b*sqrt(N))."""
     coeffs = char_poly(m)
-    rational = _rational_roots(list(coeffs))
-    rest = list(coeffs)
-    for x in rational:
-        rest = _deflate(rest, x)
+    rational, rest = _rational_roots(list(coeffs))
     # (alpha, beta, delta) triples with their algebraic multiplicities
     spectrum = [((x, 0, 1), rational.count(x)) for x in sorted(set(rational), reverse=True)]
     rad = 1

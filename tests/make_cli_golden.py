@@ -86,7 +86,9 @@ def corpus() -> list[list[str]]:
     argvs += [["orbit", "--family", "odd", "--n", "2", "--k", "200000"],
               ["orbit", "--family", "odd", "--n", "1", "--k", "20001", "--format", "json"],
               ["verify", "--family", "odd", "--n", "1", "--k", "20000"],
-              ["verify", "--family", "sq2", "--n", "1..2", "--k", "1..200000", "--format", "csv"]]
+              ["verify", "--family", "sq2", "--n", "1..2", "--k", "1..200000", "--format", "csv"],
+              ["verify", "--family", "even", "--n", "100000000", "--k", "1"],
+              ["verify", "--family", "odd", "--n", "1..100001", "--k", "0", "--format", "csv"]]
     for argv in (["pair", "--ray", "odd:2", "--with", "K"], ["orbit", "--family", "odd", "--n", "1", "--k", "1"],
                  ["verify", "--family", "even", "--n", "1", "--k", "1"]):
         argvs += [[*argv, "--out", "missing/out.txt"], [*argv, "--out", "."]]

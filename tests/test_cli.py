@@ -690,6 +690,22 @@ def test_eigenray_json_past_the_point_cap_is_refused_in_time(family, n, points):
                            f"eigenray --format json stops at 1100000\n")
 
 
+@pytest.mark.parametrize("family,n,k", [("even", "100000000", "1"), ("odd", "1..100001", "0..1")])
+def test_verify_n_past_the_reduction_cap_is_refused_in_time(family, n, k):
+    # the pencil class at n takes more than n reduction steps, and building it
+    # at a huge n runs out of memory before the reducer could refuse it
+    proc = subprocess.run([sys.executable, "-m", "morirays", "verify", "--family", family, "--n", n, "--k", k],
+                          capture_output=True, text=True, env=_module_env(), timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: --n {n} is too large: verify stops at n = 100000\n"
+
+
+def test_verify_runs_up_to_the_n_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_REDUCTION_STEPS", 3)
+    assert run(capsys, "verify", "--family", "even", "--n", "3", "--k", "1")[0] == 0
+    assert run(capsys, "verify", "--family", "even", "--n", "2..4", "--k", "1")[:2] == (2, "")
+
+
 def test_eigenray_json_runs_up_to_the_point_cap(capsys, monkeypatch):
     assert cli.MAX_JSON_POINTS >= families.wonderful_profile("sq2", 1000).s
     points = families.wonderful_profile("odd", 2).s
