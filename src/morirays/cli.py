@@ -17,6 +17,7 @@ import functools
 import io
 import os
 import sys
+from collections.abc import Callable  # named by the _Command annotation below
 
 try:  # the C function json.encoder wraps, without importing json
     from _json import encode_basestring_ascii
@@ -54,6 +55,12 @@ MAX_DIGITS = 4300
 # (even, n = 1); the pencil classes of the unipotent A_1 (odd, n = 1) never do,
 # and reduce in 4k steps, within cremona.MAX_REDUCTION_STEPS.
 MAX_K = 20000
+# verify refuses a grid that costs more than this.  A cell (n, k) costs
+# (k+1)*s(n): its orbit terms times the s(n) points of the parent pencil class
+# it reduces, in about k*s(n)/2 to k*s(n) steps.  A unit took 4-10 µs on a
+# 2-core container with Python 3.11.7: odd at n = 1..40, k = 1..40 costs
+# 1,685,600 and runs in about 9 s.
+MAX_VERIFY_COST = 2000000
 # matrix builds kinds J, C, JS and CG at most at this n: validating and
 # composing the (s+1)-square matrices costs O(s^3), and the slowest, CG,
 # takes about 2 s at n = 150 on a 2-core container with Python 3.11.7
@@ -85,6 +92,11 @@ def _too_large(k: int | str, e: OrbitSizeError) -> UsageError:
 
 def _too_many(k: int | str) -> UsageError:
     return UsageError(f"--k {k} is too large: orbit and verify stop at k = {MAX_K}")
+
+
+def _too_costly(args, cost: int) -> UsageError:
+    return UsageError(f"--n {args.n} --k {args.k} is too large: the grid would cost {cost}, the sum of (k+1) "
+                      f"times the pencil's points over its cells; verify stops at {MAX_VERIFY_COST}")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -368,6 +380,16 @@ def cmd_verify(args) -> tuple[str, int]:
     if n_hi > MAX_REDUCTION_STEPS:
         raise UsageError(f"--n {args.n} is too large: verify stops at n = {MAX_REDUCTION_STEPS}")
 
+    # the parent pencil class has s(n) = 2n+7 or 2n+8 points, so over the
+    # range they sum to its width times the mean s(n_lo) + n_hi - n_lo
+    s_lo = families.surface_points(families.good_family(name).parent, n_lo)
+    points = (n_hi - n_lo + 1) * (s_lo + n_hi - n_lo)
+    cost = points * (k_lo + k_hi + 2) * (k_hi - k_lo + 1) // 2
+    # the cells at the largest k alone here, the whole grid once they have
+    # run: a --k too large is still refused first
+    if points * (min(k_hi, MAX_K) + 1) > MAX_VERIFY_COST:
+        raise _too_costly(args, cost)
+
     bound = _power_of_ten(_digit_limit())
     try:
         # the largest k of each n first: orbit rows grow with k, so a --k too
@@ -375,6 +397,8 @@ def cmd_verify(args) -> tuple[str, int]:
         last = {n: verify.verify_good(name, n, min(k_hi, MAX_K), bound) for n in range(n_lo, n_hi + 1)}
         if k_hi > MAX_K:
             raise _too_many(args.k)
+        if cost > MAX_VERIFY_COST:
+            raise _too_costly(args, cost)
         certs = [last[n] if k == k_hi else verify.verify_good(name, n, k, bound)
                  for n in range(n_lo, n_hi + 1) for k in range(k_lo, k_hi + 1)]
     except OrbitSizeError as e:

@@ -10,6 +10,7 @@ first.  Base points are 1-based.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from heapq import heapify, heappop, heappush
 from operator import mul
 

@@ -20,6 +20,7 @@ builds its QuadNums once, at the end.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
@@ -474,17 +475,6 @@ class ConvergenceCertificate(namedtuple("ConvergenceCertificate", "matrix seed d
     @property
     def converges(self) -> bool:
         return bool(self.gamma)
-
-    def projection_identity_holds(self, k_max: int = 6) -> bool:
-        """u . M^k(seed) == lambda^k (u . seed) exactly, for k = 0..k_max."""
-        useed = _dot(self.left_vector, self.seed)
-        orbit = iterate(self.matrix, self.seed, k_max)
-        power = QuadNum(1)
-        for k in range(k_max + 1):
-            if _dot(self.left_vector, orbit.term(k)) != power * useed:
-                return False
-            power = power * self.dominant_value
-        return True
 
     def to_json(self) -> dict:
         return {

@@ -13,6 +13,7 @@ DivisorClass, the point-by-point view, runs them on one-point blocks.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from operator import mul
 
 from .quadfield import QuadNum, RadicalSum, _build, _fraction, _Frozen, _ratio, _root_pieces
@@ -136,9 +137,6 @@ class DivisorClass(_Frozen):
         """Pairing with F_s = sqrt(s-1)H - sum E_i, as an exact radical sum."""
         return self._profile().defernex_value()
 
-    def defernex_sign(self) -> int:
-        return self.defernex_value().sign()
-
     # -- vector space structure ----------------------------------------------
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
@@ -182,12 +180,6 @@ class DivisorClass(_Frozen):
     def collide(self, point: int, r: int) -> "DivisorClass":
         """Inverse of uncollide: r^2 equal points starting at point become one."""
         return self._profile().collide(point, r).expand()
-
-    def permuted(self, order: Sequence[int]) -> "DivisorClass":
-        """Reorder points; order lists 1-based source indices."""
-        if sorted(order) != list(range(1, self.s + 1)):
-            raise ValueError(f"not a permutation of 1..{self.s}: {order}")
-        return DivisorClass(self.degree, [self.mults[i - 1] for i in order])
 
     # -- presentation -----------------------------------------------------------
 
@@ -249,21 +241,6 @@ class MultiplicityProfile(_Frozen):
         for v, c in self.blocks:
             mults += [v] * c
         return _stored(DivisorClass, self.degree, tuple(mults))
-
-    @classmethod
-    def compress(cls, divisor: DivisorClass, counts: Sequence[int]) -> "MultiplicityProfile":
-        """Group multiplicities into the given consecutive blocks; exact check."""
-        if sum(counts) != divisor.s:
-            raise ShapeError(f"counts {tuple(counts)} sum to {sum(counts)}, class has s={divisor.s}")
-        blocks = []
-        pos = 0
-        for c in counts:
-            window = divisor.mults[pos : pos + c]
-            if any(m != window[0] for m in window[1:]):
-                raise ShapeError(f"block of size {c} at point {pos + 1} is not constant: {window}")
-            blocks.append((window[0], c))
-            pos += c
-        return cls(divisor.degree, blocks)
 
     @classmethod
     def group(cls, divisor: DivisorClass) -> "MultiplicityProfile":
@@ -354,9 +331,6 @@ class MultiplicityProfile(_Frozen):
             if num:
                 pieces += _root_pieces(num, rad, den)
         return RadicalSum._from_pieces(pieces)
-
-    def defernex_sign(self) -> int:
-        return self.defernex_value().sign()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiplicityProfile):

@@ -13,6 +13,7 @@ renderer, `_decimal`.  No floating point is used anywhere.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable, Sequence
 from itertools import chain
 from math import gcd, isqrt, lcm
 
@@ -180,11 +181,6 @@ class QuadNum(_Frozen):
     @property
     def is_integer(self) -> bool:
         return self._b == 0 and self._den == 1
-
-    def to_fraction(self) -> Fraction:
-        if self._b:
-            raise ValueError(f"{self} is irrational")
-        return _fraction(self._a, self._den)
 
     def to_int(self) -> int:
         if self._b or self._den != 1:
@@ -483,10 +479,6 @@ class RadicalSum(_Frozen):
         """The (radicand, coefficient) pairs, coefficients as Fractions."""
         return tuple((r, _fraction(c, self._den)) for r, c in self._nums)
 
-    @classmethod
-    def from_quad(cls, q: QuadNum) -> "RadicalSum":
-        return cls._from_pieces(_pieces(q))
-
     def __add__(self, other: "RadicalSum | QuadNum | int | Fraction") -> "RadicalSum":
         pieces = _pieces(other)
         if pieces is None:
@@ -515,10 +507,6 @@ class RadicalSum(_Frozen):
 
     def __hash__(self) -> int:
         return hash((self._nums, self._den))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._nums
 
     def sign(self) -> int:
         # _den > 0, so the numerators alone carry the sign

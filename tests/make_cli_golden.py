@@ -88,7 +88,9 @@ def corpus() -> list[list[str]]:
               ["verify", "--family", "odd", "--n", "1", "--k", "20000"],
               ["verify", "--family", "sq2", "--n", "1..2", "--k", "1..200000", "--format", "csv"],
               ["verify", "--family", "even", "--n", "100000000", "--k", "1"],
-              ["verify", "--family", "odd", "--n", "1..100001", "--k", "0", "--format", "csv"]]
+              ["verify", "--family", "odd", "--n", "1..100001", "--k", "0", "--format", "csv"],
+              ["verify", "--family", "odd", "--n", "1..100000", "--k", "1", "--format", "csv"],
+              ["verify", "--family", "even", "--n", "1", "--k", "1..20000", "--format", "csv"]]
     for argv in (["pair", "--ray", "odd:2", "--with", "K"], ["orbit", "--family", "odd", "--n", "1", "--k", "1"],
                  ["verify", "--family", "even", "--n", "1", "--k", "1"]):
         argvs += [[*argv, "--out", "missing/out.txt"], [*argv, "--out", "."]]

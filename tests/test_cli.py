@@ -706,6 +706,38 @@ def test_verify_runs_up_to_the_n_cap(capsys, monkeypatch):
     assert run(capsys, "verify", "--family", "even", "--n", "2..4", "--k", "1")[:2] == (2, "")
 
 
+def _grid_cost(parent, ns, ks):
+    """The sum of (k+1) times the points of the parent pencil class at n, cell by cell."""
+    return sum((k + 1) * families.surface_points(parent, n) for n in ns for k in ks)
+
+
+@pytest.mark.parametrize("family,parent,n,k", [("odd", "even", "1..100000", "1"), ("even", "odd", "1", "1..20000")])
+def test_verify_grid_past_the_cost_cap_is_refused_in_time(family, parent, n, k):
+    # about k*s(n) reduction steps per cell: each grid would run for hours
+    (n_lo, n_hi), (k_lo, k_hi) = cli._parse_range(n), cli._parse_range(k)
+    cost = _grid_cost(parent, range(n_lo, n_hi + 1), range(k_lo, k_hi + 1))
+    proc = subprocess.run([sys.executable, "-m", "morirays", "verify", "--family", family, "--n", n, "--k", k,
+                           "--format", "csv"], capture_output=True, text=True, env=_module_env(), timeout=2)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: --n {n} --k {k} is too large: the grid would cost {cost}, the sum of (k+1) "
+                           f"times the pencil's points over its cells; verify stops at 2000000\n")
+
+
+def test_verify_runs_up_to_the_cost_cap(capsys, monkeypatch):
+    # the reference grid of 1,600 cells is inside the cap
+    assert _grid_cost("even", range(1, 41), range(1, 41)) == 1685600 <= cli.MAX_VERIFY_COST
+    argv = ("verify", "--family", "even", "--n", "2..3", "--k", "1..2")
+    cost = _grid_cost("odd", (2, 3), (1, 2))
+    monkeypatch.setattr(cli, "MAX_VERIFY_COST", cost)
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "MAX_VERIFY_COST", cost - 1)
+    assert run(capsys, *argv)[:2] == (2, "")
+    # a cap below the k_hi pass refuses the grid before any certificate is built
+    monkeypatch.setattr(cli, "MAX_VERIFY_COST", _grid_cost("odd", (2, 3), (2,)) - 1)
+    monkeypatch.setattr(verify, "verify_good", None)
+    assert run(capsys, *argv)[:2] == (2, "")
+
+
 def test_eigenray_json_runs_up_to_the_point_cap(capsys, monkeypatch):
     assert cli.MAX_JSON_POINTS >= families.wonderful_profile("sq2", 1000).s
     points = families.wonderful_profile("odd", 2).s

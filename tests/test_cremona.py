@@ -350,7 +350,7 @@ def test_permutation_matrices_valid(order):
     m = permutation_map(order, 6)
     assert m.is_valid()
     x = DivisorClass(7, [6, 5, 4, 3, 2, 1])
-    assert m.apply(x) == x.permuted(order)
+    assert m.apply(x) == DivisorClass(7, [x.mults[i - 1] for i in order])
 
 
 def _reduce_by_sorting(x: DivisorClass) -> tuple:

@@ -1,10 +1,12 @@
-"""Result records: immutable named tuples, copied with `_replace`, and an import
+"""Result records: immutable named tuples, copied with `_replace`; an import
 path that loads no `typing`, no `dataclasses`, no `json`, no `fractions` and no
-`decimal` and builds no `typing.ForwardRef`."""
+`decimal` and builds no `typing.ForwardRef`; and annotations that resolve."""
 
 import ast
 import functools
+import importlib
 import importlib.util
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import morirays
-from morirays import DivisorClass, cremona, dynamics, families, verify
+from morirays import DivisorClass, cli, cremona, dynamics, families, lattice, quadfield, verify
 
 LINE = DivisorClass(1, [1, 0, 0])
 
@@ -159,3 +161,39 @@ def test_fractions_imported_after_morirays_are_accepted():
                           timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"
+
+
+def _functions(owner, module):
+    """The functions and methods that `module` defines in `owner`: the module
+    itself or one of its classes, with the accessors of each property."""
+    for obj in vars(owner).values():
+        obj = getattr(obj, "__func__", obj)  # a classmethod or staticmethod
+        if isinstance(obj, property):
+            yield from (f for f in (obj.fget, obj.fset) if f is not None)
+        elif getattr(obj, "__module__", None) != module.__name__:
+            continue
+        elif isinstance(obj, type):
+            yield from _functions(obj, module)
+        elif callable(obj):
+            yield obj
+
+
+def test_every_annotation_resolves():
+    """typing.get_type_hints evaluates the annotations of every function and
+    method of the package.  `Fraction` comes through localns: the modules name
+    it only in annotations, and import `fractions` only when a Fraction is built."""
+    import typing
+    from fractions import Fraction
+
+    names = [m.name for m in pkgutil.iter_modules(morirays.__path__) if m.name != "__main__"]
+    modules = [importlib.import_module(f"morirays.{name}") for name in names]
+    functions = [f for mod in modules for f in _functions(mod, mod)]
+    assert {dynamics.iterate, cremona.ShapeMatrix.__init__, quadfield.RadicalSum._from_pieces.__func__,
+            quadfield.QuadNum.a.fget, cli._parsers, lattice.DivisorClass.__init__} <= set(functions)
+    unresolved = {}
+    for f in functions:
+        try:
+            typing.get_type_hints(f, localns={"Fraction": Fraction})
+        except NameError as e:
+            unresolved[f"{f.__module__}.{f.__qualname__}"] = str(e)
+    assert unresolved == {}
