@@ -18,6 +18,7 @@ import io
 import os
 import sys
 from collections.abc import Callable  # named by the _Command annotation below
+from itertools import chain
 
 try:  # the C function json.encoder wraps, without importing json
     from _json import encode_basestring_ascii
@@ -138,6 +139,7 @@ def _json_text(obj) -> str:
 
 
 _NO_ENTRY = object()  # stands before the first entry of a list
+_ROW_TYPES = frozenset((list, tuple))
 
 
 def _write_json(obj, nl: str, parts: list[str]) -> None:
@@ -176,6 +178,14 @@ def _write_json(obj, nl: str, parts: list[str]) -> None:
     elif type(obj[0]) is int and set(map(type, obj)) == {int}:
         inner = nl + "  "
         parts.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
+    elif (type(obj[0]) in _ROW_TYPES and obj[0] and set(map(type, obj)) <= _ROW_TYPES
+          and len(set(map(len, obj))) == 1 and set(map(type, chain.from_iterable(obj))) == {int}):
+        # rows of ints, all of one length: every row through one "%d" template
+        inner = nl + "  "
+        cell = inner + "  "
+        row = "[" + cell + ("," + cell).join(["%d"] * len(obj[0])) + inner + "]"
+        parts.append(("[" + inner + ("," + inner).join([row] * len(obj)) + nl + "]")
+                     % tuple(chain.from_iterable(obj)))
     else:
         inner = nl + "  "
         sep = "[" + inner

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from operator import mul
 
 from .lattice import DivisorClass, ShapeError, is_line_pencil_up_to_permutation
@@ -389,12 +389,14 @@ def cremona_reduce(x: DivisorClass) -> ReductionResult:
         return ReductionResult(x, x, (), d > 0 or d >= sum(mults))
     # One key -m*s + i per point (the pair (-m, i) as one int) pops largest
     # first, ties toward the lower index.  A step changes only the three
-    # points it pops, so pushing their new keys keeps one current key each.
+    # largest points: it pops two, replaces the third at the top of the heap
+    # by its new key and pushes the other two, keeping one current key each.
     s = x.s
     heap = [i - m * s for i, m in enumerate(mults)]
     heapify(heap)
     for _ in range(MAX_REDUCTION_STEPS):
-        i, j, k = sorted((heappop(heap) % s, heappop(heap) % s, heappop(heap) % s))
+        p, q, r = heappop(heap) % s, heappop(heap) % s, heap[0] % s
+        i, j, k = sorted((p, q, r))
         if d >= mults[i] + mults[j] + mults[k]:
             reduced = DivisorClass(d, mults)
             return ReductionResult(x, reduced, tuple(steps), True)
@@ -402,7 +404,8 @@ def cremona_reduce(x: DivisorClass) -> ReductionResult:
             return ReductionResult(x, DivisorClass(d, mults), tuple(steps), False)
         a, b, c = mults[i], mults[j], mults[k]
         d, mults[i], mults[j], mults[k] = 2 * d - a - b - c, d - b - c, d - a - c, d - a - b
-        for p in (i, j, k):
-            heappush(heap, p - mults[p] * s)
+        heapreplace(heap, r - mults[r] * s)
+        heappush(heap, p - mults[p] * s)
+        heappush(heap, q - mults[q] * s)
         steps.append((i + 1, j + 1, k + 1))
     raise RuntimeError(f"reduction did not settle within {MAX_REDUCTION_STEPS} steps")

@@ -100,25 +100,31 @@ def certify_pencil(x: DivisorClass) -> PencilCertificate:
     # the reducer's own update formula, so the two stay independent.  A map
     # based at (i, j, k) embeds that block at (0, i, j, k) and fixes every
     # other coordinate, so only the degree and three multiplicities change.
+    # The block's columns are the images of the four basis vectors.
     q = quadratic_map((1, 2, 3), 3)
+    (h0, h1, h2, h3), (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = (
+        q.apply(e) for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    # the coordinates (d, -m_1, ..., -m_s), so point p sits at index p;
     # cremona_reduce refused any class that is not integral, so these are ints
-    d, mults = x.degree, list(x.mults)
-    nonneg = d > 0 and all(m >= 0 for m in mults)
-    s = len(mults)
+    v = [x.degree, *(-m for m in x.mults)]
+    s = x.s
+    nonneg = x.degree > 0 and all(m >= 0 for m in x.mults)
     for t in red.steps:
         i, j, k = t if len(t) == 3 else (0, 0, 0)  # any other length fails the check below
         if not (0 < i <= s and 0 < j <= s and 0 < k <= s and i != j != k != i):
             raise ValueError(f"recorded step {t} is not three distinct points in 1..{s}")
-        i, j, k = i - 1, j - 1, k - 1
-        d, mi, mj, mk = q.apply((d, -mults[i], -mults[j], -mults[k]))
-        mults[i], mults[j], mults[k] = -mi, -mj, -mk
-        nonneg = nonneg and d > 0 and mi <= 0 and mj <= 0 and mk <= 0
+        d, x1, x2, x3 = v[0], v[i], v[j], v[k]
+        v[0], v[i], v[j], v[k] = d, x1, x2, x3 = (h0 * d + a0 * x1 + b0 * x2 + c0 * x3,
+                                                  h1 * d + a1 * x1 + b1 * x2 + c1 * x3,
+                                                  h2 * d + a2 * x1 + b2 * x2 + c2 * x3,
+                                                  h3 * d + a3 * x1 + b3 * x2 + c3 * x3)
+        nonneg = nonneg and d > 0 and x1 <= 0 and x2 <= 0 and x3 <= 0
     end = red.reduced
     return PencilCertificate(
         system=x,
         reduction=red,
         endpoint_is_line_pencil=red.is_line_pencil,
-        replay_ok=end.degree == d and end.mults == tuple(mults),
+        replay_ok=v == [end.degree, *(-m for m in end.mults)],
         nonnegative_throughout=nonneg,
     )
 
