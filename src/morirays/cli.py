@@ -58,9 +58,9 @@ MAX_DIGITS = 4300
 MAX_K = 20000
 # verify refuses a grid that costs more than this.  A cell (n, k) costs
 # (k+1)*s(n): its orbit terms times the s(n) points of the parent pencil class
-# it reduces, in about k*s(n)/2 to k*s(n) steps.  A unit took 4-10 µs on a
+# it reduces, in about k*s(n)/2 to k*s(n) steps.  A unit took 3-5 µs on a
 # 2-core container with Python 3.11.7: odd at n = 1..40, k = 1..40 costs
-# 1,685,600 and runs in about 9 s.
+# 1,685,600 and runs in about 5 s, 8 s with --format json.
 MAX_VERIFY_COST = 2000000
 # matrix builds kinds J, C, JS and CG at most at this n: validating and
 # composing the (s+1)-square matrices costs O(s^3), and the slowest, CG,

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,19 +47,40 @@ def test_writer_matches_json_dumps(obj):
 
 ints = st.integers(min_value=-(10**40), max_value=10**40)
 int_lists = st.lists(ints, min_size=1, max_size=6)
+# lists of int rows of one length, each row a list or a tuple: a drawn list
+# of int_lists is almost always ragged
+int_rows = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(ints, min_size=n, max_size=n) | st.tuples(*[ints] * n), min_size=1, max_size=5))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(int_lists, int_lists.map(tuple), st.lists(st.booleans(), min_size=1, max_size=6),
-                 st.lists(int_lists, min_size=1, max_size=4), st.lists(ints | st.booleans(), min_size=1, max_size=6)))
+                 st.lists(int_lists, min_size=1, max_size=4), st.lists(ints | st.booleans(), min_size=1, max_size=6),
+                 int_rows, int_rows.map(tuple)))
 def test_int_lists_match_json_dumps(obj):
     assert _json_text(obj) == reference(obj)
     assert _json_text({"a": obj, "b": [obj, obj]}) == reference({"a": obj, "b": [obj, obj]})
 
 
-@pytest.mark.parametrize("obj", [[0], (7, -8), [1, True], [True, 1], [False], [[1, 2], [1, 2]], [[3], []], [2**64, 0]])
+class Row(list):
+    pass
+
+
+@pytest.mark.parametrize("obj", [[0], (7, -8), [1, True], [True, 1], [False], [[1, 2], [1, 2]], [[3], []], [2**64, 0],
+                                 [[1, 2], [3, 4]], [(1, 2, 3)], [(7,), [8]], [[1, True], [2, 3]], [[1], [2, 3]],
+                                 [[1, 2], []], [[2**64, -1], [0, 0]], [Row([1, 2]), [3, 4]], [[1, 2], Row([3, 4])],
+                                 [[], []], ([5, -6], (7, 8))])
 def test_int_list_cases(obj):
     assert _json_text(obj) == reference(obj)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer string conversion")
+@pytest.mark.parametrize("obj", [[10**4300], [[10**4300, 1], [2, 3]], [(1,), (-(10**4300),)]])
+def test_ints_past_the_digit_limit_raise_as_json_dumps_does(obj):
+    with pytest.raises(ValueError):
+        reference(obj)
+    with pytest.raises(ValueError):
+        _json_text(obj)
 
 
 def test_shared_objects_repeat_their_text():

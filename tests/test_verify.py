@@ -10,7 +10,7 @@ import pytest
 
 from morirays import DivisorClass, MultiplicityProfile, SpectrumError, dynamics, families, line_pencil_class, verify
 from morirays.cli import main
-from morirays.cremona import quadratic_map
+from morirays.cremona import CharMatrix, quadratic_map
 from morirays.dynamics import char_poly
 from morirays.families import pencil_profile, primed_pencil_profile
 from morirays.verify import (
@@ -137,6 +137,27 @@ def test_replay_rejects_a_forged_endpoint(monkeypatch):
     assert cert.failure == "replay of the recorded quadratic maps diverged"
 
 
+def test_replay_follows_the_map_builder_not_the_reducer(monkeypatch):
+    # the reducer stays honest; only the block the replay reads is wrong
+    def transposed(points, s=None):
+        return CharMatrix(zip(*quadratic_map(points, s).rows))
+
+    monkeypatch.setattr(verify, "quadratic_map", transposed)
+    cert = certify_pencil(primed_pencil_profile(2, 1).expand())
+    assert cert.reduction.is_reduced and cert.endpoint_is_line_pencil and replay(cert.reduction)
+    assert not cert.replay_ok
+    assert cert.failure == "replay of the recorded quadratic maps diverged"
+
+
+def test_replay_reads_the_block_once_per_certificate(monkeypatch):
+    calls = []
+    apply = CharMatrix.apply
+    monkeypatch.setattr(CharMatrix, "apply", lambda self, x: calls.append(x) or apply(self, x))
+    cert = certify_pencil(primed_pencil_profile(20, 10).expand())
+    assert len(cert.reduction.steps) == 462 and cert.valid
+    assert len(calls) == 4
+
+
 def test_replay_checks_signs_between_the_ends(monkeypatch):
     # the line through p1 and p2 maps to E_3 (degree 0, multiplicity -1);
     # repeating the step lands back on the nonnegative start
@@ -233,7 +254,7 @@ def test_every_json_verdict_is_the_and_of_the_flags_beneath_it(monkeypatch):
             assert code == 1 and flags.count(False) == 5
 
 
-@pytest.mark.parametrize("step", [(1, 1, 2), (0, 1, 2), (1, 2, 13)])
+@pytest.mark.parametrize("step", [(1, 1, 2), (0, 1, 2), (1, 2, 13), (1, 2), (1, 2, 3, 4)])
 def test_replay_rejects_malformed_steps(monkeypatch, step):
     _forge(monkeypatch, lambda x, red: red._replace(steps=red.steps + (step,)))
     with pytest.raises(ValueError, match="not three distinct points in 1..12"):
