@@ -93,8 +93,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     p.add_argument("--seeds", required=True, help="range A..B of workload seeds, one pair per seed")
     p.add_argument("--seconds", type=float, default=40.0, help="--seconds of each run (default 40)")
-    p.add_argument("--parent-commit", help="the parent's commit (default: the parent checkout's HEAD)")
-    p.add_argument("--note", default="", help="text appended to the method note, such as the claim")
     p.add_argument("--out", type=Path, help="output path (default BENCH_<label>.json)")
     args = p.parse_args(argv)
 
@@ -107,8 +105,8 @@ def main(argv: list[str] | None = None) -> int:
         "label": args.label,
         "host": f"{os.cpu_count()} CPUs, Python {platform.python_version()}; "
                 "times scaled to the reference speed by bench/calibrate.py",
-        "note": " ".join(filter(None, [METHOD.format(seconds=args.seconds, seeds=args.seeds), args.note])),
-        "parent_commit": args.parent_commit or _short_commit(args.parent),
+        "note": METHOD.format(seconds=args.seconds, seeds=args.seeds),
+        "parent_commit": _short_commit(args.parent),
         "run_seconds": args.seconds,
     }
     runs = {w: {side: [] for side in SIDES} for w in workloads}
