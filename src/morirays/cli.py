@@ -178,7 +178,7 @@ def _write_json(obj, nl: str, parts: list[str]) -> None:
     elif type(obj[0]) is int and set(map(type, obj)) == {int}:
         inner = nl + "  "
         parts.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
-    elif (type(obj[0]) in _ROW_TYPES and obj[0] and set(map(type, obj)) <= _ROW_TYPES
+    elif (type(obj[0]) in _ROW_TYPES and obj[0] and type(obj[0][0]) is int and set(map(type, obj)) <= _ROW_TYPES
           and len(set(map(len, obj))) == 1 and set(map(type, chain.from_iterable(obj))) == {int}):
         # rows of ints, all of one length: every row through one "%d" template
         inner = nl + "  "

@@ -69,7 +69,7 @@ class Row(list):
 @pytest.mark.parametrize("obj", [[0], (7, -8), [1, True], [True, 1], [False], [[1, 2], [1, 2]], [[3], []], [2**64, 0],
                                  [[1, 2], [3, 4]], [(1, 2, 3)], [(7,), [8]], [[1, True], [2, 3]], [[1], [2, 3]],
                                  [[1, 2], []], [[2**64, -1], [0, 0]], [Row([1, 2]), [3, 4]], [[1, 2], Row([3, 4])],
-                                 [[], []], ([5, -6], (7, 8))])
+                                 [[], []], ([5, -6], (7, 8)), [[{"a": 1}, 2], [3, 4]], [[1, 2], [3, {"a": 4}]]])
 def test_int_list_cases(obj):
     assert _json_text(obj) == reference(obj)
 
