@@ -8,8 +8,9 @@ that the change's BENCHMARK.json lists,
 both checkouts, the parent first on odd seeds and the change first on even
 ones, and each run's end-to-end metrics are read from the last line of its
 stdout.  The file is rewritten after every seed, so a run that is cut short
-keeps its complete pairs.  Keep the number of seeds even: the order of a pair
-moves certify-grid by about 2%.
+keeps its complete pairs.  The number of seeds must be even, so that each side
+goes first equally often: the order of a pair moves certify-grid by about 2%.
+An empty, malformed or odd-length --seeds exits 2 before any run.
 """
 
 from __future__ import annotations
@@ -76,8 +77,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
 
 
 def _seeds(text: str) -> list[int]:
+    """The seeds of a range A..B; ValueError unless it holds an even number of them."""
     lo, _, hi = text.partition("..")
-    return list(range(int(lo), int(hi or lo) + 1))
+    try:
+        seeds = list(range(int(lo), int(hi) + 1))
+    except ValueError:
+        raise ValueError(f"--seeds {text!r} is not a range A..B of integers") from None
+    if not seeds or len(seeds) % 2:
+        raise ValueError(f"--seeds {text} gives {len(seeds)} seed(s); give a nonzero even number, "
+                         "so that each side runs first equally often")
+    return seeds
 
 
 def _short_commit(checkout: Path) -> str | None:
@@ -91,15 +100,19 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("parent", type=Path, help="source checkout of the parent commit")
     p.add_argument("change", type=Path, help="source checkout of the change")
     p.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
-    p.add_argument("--seeds", required=True, help="range A..B of workload seeds, one pair per seed")
+    p.add_argument("--seeds", required=True, help="range A..B of an even number of workload seeds, one pair per seed")
     p.add_argument("--seconds", type=float, default=40.0, help="--seconds of each run (default 40)")
     p.add_argument("--out", type=Path, help="output path (default BENCH_<label>.json)")
     args = p.parse_args(argv)
+    try:
+        seeds = _seeds(args.seeds)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
-    seeds = _seeds(args.seeds)
     out = args.out or Path(f"BENCH_{args.label}.json")
     meta = {
         "label": args.label,

@@ -15,10 +15,11 @@ r(n).  `FAMILIES` holds one row per limit family:
 A row with a parent also names its good-ray sweep (`even`, `odd`, `sq4`,
 `sq2`): the same order-r split applied to the r-scaled pencil orbit terms of
 the parent, integer classes whose rays converge to the row's limit ray.  The
-two matrix rows carry the shape matrix, the three orbit invariants that a
-good-ray certificate checks on the parent orbit, and the word for its scaled
-pencil.  `WONDERFUL_TAGS`, `GOOD_TAGS`, `GOOD_LIMITS`, `family`,
-`good_family`, `shape_matrix` and `surface_points` are views of the table.
+two matrix rows carry the block sizes of their shape, the shape matrix, the
+three orbit invariants that a good-ray certificate checks on the parent orbit,
+and the word for its scaled pencil.  `WONDERFUL_TAGS`, `GOOD_TAGS`,
+`GOOD_LIMITS`, `family`, `good_family`, `shape_matrix` and `surface_points`
+are views of the table.
 
 Pencil orbits and the good-ray families carry integer classes; the closed
 forms `wonderful_*` return the irrational limit rays in their conventional
@@ -41,15 +42,17 @@ PENCIL_SEED = (1, 1, 0, 0)
 Invariant = tuple[str, str, bool]
 
 
-class Family(namedtuple("Family", "tag alias closed_form parent order good matrix invariants scaling",
-                        defaults=(None, lambda n: 1, None, None, None, "scaled"))):
+class Family(namedtuple("Family", "tag alias closed_form parent order good counts matrix invariants scaling",
+                        defaults=(None, lambda n: 1, None, None, None, None, "scaled"))):
     """One limit family.  `parent` is the matrix family whose limit ray (and,
     for the good sweep `good`, whose pencil orbit) is split to order
     `order(n)` at its first point; the matrix families themselves have no
-    parent and order 1, and carry `matrix`, `invariants` and `scaling`.
+    parent and order 1, and carry `counts` (the block sizes of their shape),
+    `matrix`, `invariants` and `scaling`.
 
     Fields: tag, alias: str; closed_form: Callable[[int], MultiplicityProfile];
     parent, good: str | None = None; order: Callable[[int], int] = lambda n: 1;
+    counts: Callable[[int], tuple[int, int, int]] | None = None;
     matrix: Callable[[int], ShapeMatrix] | None = None;
     invariants: Callable[[int, int, int, int, int], tuple[Invariant, ...]] | None = None;
     scaling: str = "scaled"."""
@@ -76,9 +79,19 @@ def beta(n: int) -> QuadNum:
 # -- shape matrices -----------------------------------------------------------------
 
 
+def odd_counts(n: int) -> tuple[int, int, int]:
+    """Block sizes of the odd family's shape: 1 + 2n + 6 = 2n+7 points."""
+    return 1, 2 * _check_n(n), 6
+
+
+def even_counts(n: int) -> tuple[int, int, int]:
+    """Block sizes of the even family's shape: 1 + 7 + 2n = 2n+8 points."""
+    return 1, 7, 2 * _check_n(n)
+
+
 def odd_shape_matrix(n: int) -> ShapeMatrix:
     """A_n, the composite Jonquieres/Sturm action on shape (1, 2n, 6)."""
-    _check_n(n)
+    counts = odd_counts(n)
     return ShapeMatrix(
         [
             [5 * n + 5, -n, -2 * n, -12 * n - 12],
@@ -86,13 +99,13 @@ def odd_shape_matrix(n: int) -> ShapeMatrix:
             [5, -1, -1, -12],
             [2, 0, 0, -5],
         ],
-        (1, 2 * n, 6),
+        counts,
     )
 
 
 def even_shape_matrix(n: int) -> ShapeMatrix:
     """B_n, the composite double-Jonquieres/Geiser action on shape (1, 7, 2n)."""
-    _check_n(n)
+    counts = even_counts(n)
     return ShapeMatrix(
         [
             [8 * n * n + 27 * n + 17, -n * n - 5 * n - 6, -21 * n * n - 70 * n - 42, -2 * n * n - 6 * n],
@@ -100,7 +113,7 @@ def even_shape_matrix(n: int) -> ShapeMatrix:
             [8 * n + 6, -n - 2, -21 * n - 15, -2 * n],
             [8 * n + 3, -n - 2, -21 * n - 7, -2 * n + 1],
         ],
-        (1, 7, 2 * n),
+        counts,
     )
 
 
@@ -223,9 +236,10 @@ def wonderful_sq2(n: int) -> MultiplicityProfile:
 # -- the table -------------------------------------------------------------------------
 
 FAMILIES = (
-    Family("odd", "W_odd", wonderful_odd, matrix=odd_shape_matrix, invariants=odd_invariants,
-           scaling="doubled"),
-    Family("even", "W_even", wonderful_even, matrix=even_shape_matrix, invariants=even_invariants),
+    Family("odd", "W_odd", wonderful_odd, counts=odd_counts, matrix=odd_shape_matrix,
+           invariants=odd_invariants, scaling="doubled"),
+    Family("even", "W_even", wonderful_even, counts=even_counts, matrix=even_shape_matrix,
+           invariants=even_invariants),
     Family("even_plus", "Wplus_even", wonderful_even_plus, "odd", lambda n: 2, "even"),
     Family("odd_plus", "Wplus_odd", wonderful_odd_plus, "even", lambda n: 2, "odd"),
     Family("sq4", "Wplus_sq4", wonderful_sq4, "even", lambda n: n + 1, "sq4"),
@@ -261,9 +275,11 @@ def shape_matrix(tag: str, n: int) -> ShapeMatrix:
 
 
 def surface_points(tag: str, n: int) -> int:
+    """Points of the family's surface: its matrix family's shape, with the
+    first point split into r(n)^2.  No matrix is built."""
     f = family(tag)
     r = f.order(n)
-    return sum(shape_matrix(f.parent or tag, n).counts) + r * r - 1
+    return sum(family(f.parent or tag).counts(n)) + r * r - 1
 
 
 # -- pencil orbits --------------------------------------------------------------------
@@ -290,13 +306,17 @@ def primed_pencil_profile(n: int, k: int) -> MultiplicityProfile:
 # -- good-ray families -----------------------------------------------------------------
 
 
-def good_profile(tag: str, n: int, k: int, row: tuple[int, ...] | None = None) -> MultiplicityProfile:
+def good_profile(tag: str, n: int, k: int, row: tuple[int, ...] | None = None,
+                 matrix: ShapeMatrix | None = None) -> MultiplicityProfile:
     """Order-r split, at its first point, of the r-scaled k-th pencil class
-    of the parent family.  A caller that already holds that class's orbit
-    row (d, a, b, c) passes it as `row`, and the orbit is not iterated again."""
+    of the parent family.  A caller that already holds the parent's shape
+    matrix passes it as `matrix`, and one that holds that class's orbit row
+    (d, a, b, c) passes it as `row`; neither is then built again."""
     f = good_family(tag)
     r = f.order(n)
-    return (r * _orbit_profile(shape_matrix(f.parent, n), k, row)).uncollide(1, r)
+    if matrix is None:
+        matrix = shape_matrix(f.parent, n)
+    return (r * _orbit_profile(matrix, k, row)).uncollide(1, r)
 
 
 def good_even(n: int, k: int) -> MultiplicityProfile:

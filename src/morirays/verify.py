@@ -94,6 +94,24 @@ class PencilCertificate(namedtuple("PencilCertificate", "system reduction endpoi
         }
 
 
+# (builder, block): the map builder read last and the replay block it gave
+_replay_block_cache: tuple[object, tuple[tuple[int, ...], ...]] | None = None
+
+
+def _replay_block() -> tuple[tuple[int, ...], ...]:
+    """The local block of one quadratic map, as the images of the four basis
+    vectors, read through `CharMatrix.apply` from the map that the builder
+    bound as `quadratic_map` returns.  It is read once per builder: a builder
+    bound in its place (a wrapper, a test's stand-in) is read on its next use."""
+    global _replay_block_cache
+    build = quadratic_map
+    if _replay_block_cache is None or _replay_block_cache[0] is not build:
+        q = build((1, 2, 3), 3)
+        _replay_block_cache = build, tuple(q.apply(e) for e in ((1, 0, 0, 0), (0, 1, 0, 0),
+                                                                 (0, 0, 1, 0), (0, 0, 0, 1)))
+    return _replay_block_cache[1]
+
+
 def certify_pencil(x: DivisorClass) -> PencilCertificate:
     red = cremona_reduce(x)
     # Replay on ints through the local block of one quadratic map rather than
@@ -101,9 +119,7 @@ def certify_pencil(x: DivisorClass) -> PencilCertificate:
     # based at (i, j, k) embeds that block at (0, i, j, k) and fixes every
     # other coordinate, so only the degree and three multiplicities change.
     # The block's columns are the images of the four basis vectors.
-    q = quadratic_map((1, 2, 3), 3)
-    (h0, h1, h2, h3), (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = (
-        q.apply(e) for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    (h0, h1, h2, h3), (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = _replay_block()
     # the coordinates (d, -m_1, ..., -m_s), so point p sits at index p;
     # cremona_reduce refused any class that is not integral, so these are ints
     v = [x.degree, *(-m for m in x.mults)]
@@ -250,7 +266,7 @@ def verify_good(family: str, n: int, k: int, bound: int | None = None) -> GoodRa
     if bound is not None and max(r * max(abs(d), abs(b), abs(c)), abs(a), 3 * abs(c)) >= bound:
         raise OrbitSizeError(k, bound)
     _, n1, n2 = matrix.counts
-    system = families.good_profile(family, n, k, orbit_row)
+    system = families.good_profile(family, n, k, orbit_row, matrix)
     displayed = MultiplicityProfile(r * d, [(a, r * r), (r * b, n1), (r * c, n2)])
     checks = (
         Check("construction", f"system equals the order-{r} split of the {parent.scaling} pencil",

@@ -59,3 +59,29 @@ def test_a_zero_parent_median_has_no_ratio():
     runs = {"w": {"parent": [{"pass_frac": 0.0}], "change": [{"pass_frac": 1.0}]}}
     row = summarize(runs, {}, {"pass_frac": "higher"})["pairs"]["w"]["pass_frac"]
     assert row["change_vs_parent"] is None and row["change_better_pairs"] == 1
+
+
+@pytest.mark.parametrize("seeds, why", [
+    ("5..3", "gives 0 seed(s)"),
+    ("", "is not a range"),
+    ("a..b", "is not a range"),
+    ("1..", "is not a range"),
+    ("1..2..3", "is not a range"),
+    ("4", "is not a range"),
+    ("1..3", "gives 3 seed(s)"),
+    ("2..2", "gives 1 seed(s)"),
+])
+def test_a_bad_seed_range_exits_2_before_any_run(seeds, why, tmp_path, capsys):
+    # the checkouts do not exist: reading either one would raise, not return 2
+    out = tmp_path / "BENCH_x.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--label", "x", "--seeds", seeds,
+            "--out", str(out)]
+    assert bench_pairs["main"](argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seeds") and why in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_an_even_seed_range_is_read_in_order():
+    assert bench_pairs["_seeds"]("1..10") == list(range(1, 11))
+    assert bench_pairs["_seeds"]("-1..0") == [-1, 0]

@@ -14,6 +14,7 @@ from morirays.families import (
     beta,
     cg_homaloidal,
     even_shape_matrix,
+    family,
     good_family,
     good_profile,
     js_homaloidal,
@@ -119,6 +120,15 @@ def test_surface_point_counts():
     assert [surface_points("sq2", n) for n in (1, 2, 3)] == [18, 27, 38]
 
 
+@pytest.mark.parametrize("tag", WONDERFUL_TAGS)
+def test_surface_points_match_the_shape_matrix(tag):
+    # the block counts, read without a matrix, against the matrix's own
+    f = family(tag)
+    for n in range(1, 61):
+        r = f.order(n)
+        assert surface_points(tag, n) == sum(shape_matrix(f.parent or tag, n).counts) + r * r - 1
+
+
 def test_wonderful_odd_display():
     w = wonderful_profile("odd", 2)
     assert w.degree == 28
@@ -193,6 +203,9 @@ def test_good_sq_frozen():
 def test_bad_arguments():
     with pytest.raises(ValueError):
         shape_matrix("odd", 0)
+    for tag in WONDERFUL_TAGS:
+        with pytest.raises(ValueError):
+            surface_points(tag, 0)
     with pytest.raises(ValueError):
         wonderful_profile("triangular", 1)
     with pytest.raises(ValueError):

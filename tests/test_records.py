@@ -32,7 +32,7 @@ RECORDS = {
         lambda: dynamics.certify_convergence(families.shape_matrix("even", 2), families.LINE_SEED),
         "matrix seed dominant_value left_vector right_vector gamma jordan"),
     "families.Family": (lambda: families.Family("t", "T", families.wonderful_odd),
-                        "tag alias closed_form parent order good matrix invariants scaling"),
+                        "tag alias closed_form parent order good counts matrix invariants scaling"),
     "verify.Check": (lambda: verify.Check("name", "statement", True), "name statement ok"),
     "verify.PencilCertificate": (lambda: verify.certify_pencil(LINE),
                                  "system reduction endpoint_is_line_pencil replay_ok nonnegative_throughout"),
@@ -48,7 +48,8 @@ RECORDS = {
 }
 
 # Family's defaults, a callable one by its value at n = 7; no other record has any
-FAMILY_DEFAULTS = {"parent": None, "order": 1, "good": None, "matrix": None, "invariants": None, "scaling": "scaled"}
+FAMILY_DEFAULTS = {"parent": None, "order": 1, "good": None, "counts": None, "matrix": None, "invariants": None,
+                   "scaling": "scaled"}
 
 
 def test_every_record_class_is_listed():

@@ -4,6 +4,8 @@
 traced method that moves into a base class, or a function that is renamed,
 breaks only when the benchmark runs.  This checks the bindings in the fast
 suite: install every span, check it sits where it was put, take it off again.
+A value the program reads once and keeps would hide the spans inside it from a
+traced pass; the last test checks that the replay block does not.
 """
 
 import sys
@@ -14,6 +16,7 @@ sys.path.insert(0, str(BENCH))
 
 import run  # noqa: E402  (bench/run.py)
 import tracer  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_every_trace_target_binds_and_comes_off():
@@ -36,3 +39,22 @@ def test_every_trace_target_binds_and_comes_off():
         t.uninstall()
     for owner, attr, original, _ in sites:
         assert vars(owner)[attr] is original, tracer.site_name(owner, attr)
+
+
+def test_a_traced_verify_cell_enters_the_map_builder_and_apply():
+    # the replay block is read before the tracer goes on, as in a bench run
+    # whose untraced passes come first; a block fixed at import, or one that
+    # never looks at the builder bound now, would leave both spans empty
+    mods = run.import_morirays()
+    argv = ["verify", "--family", "even", "--n", "2", "--k", "1", "--format", "json"]
+    _, plain = workloads.run({"argv": argv}, mods["cli"], mods["verify"])
+    t = tracer.Tracer(mods)
+    try:
+        t.install()
+        code, output = workloads.run({"argv": argv}, mods["cli"], mods["verify"])
+    finally:
+        t.uninstall()
+    assert code == 0 and output == plain
+    summary = t.summary()
+    assert summary["cremona.quadratic_map.calls"] == 1
+    assert summary["cremona.apply.calls"] == 4

@@ -149,13 +149,55 @@ def test_replay_follows_the_map_builder_not_the_reducer(monkeypatch):
     assert cert.failure == "replay of the recorded quadratic maps diverged"
 
 
-def test_replay_reads_the_block_once_per_certificate(monkeypatch):
-    calls = []
+def test_replay_reads_the_block_once_per_builder(monkeypatch):
+    builds, calls = [], []
     apply = CharMatrix.apply
+
+    def fresh(points, s=None):
+        builds.append((points, s))
+        return quadratic_map(points, s)
+
+    monkeypatch.setattr(verify, "quadratic_map", fresh)
     monkeypatch.setattr(CharMatrix, "apply", lambda self, x: calls.append(x) or apply(self, x))
-    cert = certify_pencil(primed_pencil_profile(20, 10).expand())
-    assert len(cert.reduction.steps) == 462 and cert.valid
-    assert len(calls) == 4
+    certs = [certify_pencil(primed_pencil_profile(20, k).expand()) for k in (10, 11, 12)]
+    certs.append(verify_good("odd", 3, 4).pencil)
+    assert len(certs[0].reduction.steps) == 462 and all(c.valid for c in certs)
+    assert builds == [((1, 2, 3), 3)]
+    assert calls == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+
+
+def test_replay_reads_a_builder_bound_mid_session(monkeypatch):
+    x = primed_pencil_profile(2, 1).expand()
+    assert certify_pencil(x).replay_ok
+    # a builder bound after the block was read is used on the next certificate
+    monkeypatch.setattr(verify, "quadratic_map", lambda points, s=None: CharMatrix(zip(*quadratic_map(points, s).rows)))
+    assert not certify_pencil(x).replay_ok
+    # and so is the original once it is bound again
+    monkeypatch.undo()
+    assert certify_pencil(x).replay_ok
+
+
+def test_a_verify_cell_builds_one_shape_matrix(monkeypatch):
+    builds = []
+    init = families.ShapeMatrix.__init__
+
+    def counted(self, rows, counts):
+        builds.append(tuple(counts))
+        init(self, rows, counts)
+
+    monkeypatch.setattr(families.ShapeMatrix, "__init__", counted)
+    for family, n, k in (("even", 2, 3), ("odd", 3, 2), ("sq4", 2, 1), ("sq2", 1, 2)):
+        builds.clear()
+        assert verify_good(family, n, k).valid
+        assert len(builds) == 1, (family, n, k, builds)
+    # the cost cap of `verify` reads s(n) without building a matrix
+    builds.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--family", "sq2", "--n", "1..100", "--k", "1..20000"]) == 2
+    assert builds == []
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--family", "even", "--n", "2", "--k", "1"]) == 0
+    assert len(builds) == 1
 
 
 def test_replay_checks_signs_between_the_ends(monkeypatch):
