@@ -31,8 +31,10 @@ class _IntMatrix(_Frozen):
     """Immutable square integer matrix, stored as a tuple of row tuples.
 
     Subclasses say what the basis means: `_shape()` is what two matrices must
-    share to be multiplied or compared (named `_shapes_name` in the error),
-    and `_with_rows` builds a matrix of the same kind on new rows.
+    share to be multiplied (named `_shapes_name` in the error), and
+    `_with_rows` builds a matrix of the same kind on new rows.  Equality,
+    hashing and str come from `_Frozen`: a ShapeMatrix compares its rows and
+    counts, a CharMatrix its rows.
     """
 
     __slots__ = ("rows",)
@@ -63,23 +65,12 @@ class _IntMatrix(_Frozen):
         cols = tuple(zip(*other.rows))
         return self._with_rows([[sum(map(mul, row, col)) for col in cols] for row in self.rows])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.rows == other.rows and self._shape() == other._shape()
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self._shape()))
-
     def apply(self, vec: Sequence) -> tuple:
         return _mat_vec(self.rows, vec)
 
     def pretty(self) -> str:
         width = max(len(str(x)) for r in self.rows for x in r)
         return "\n".join(" ".join(f"{x:>{width}}" for x in r) for r in self.rows)
-
-    def __str__(self) -> str:
-        return self.pretty()
 
 
 class CharMatrix(_IntMatrix):
@@ -183,36 +174,40 @@ def _embed(local: Sequence[Sequence[int]], points: Sequence[int], s: int | None)
     return CharMatrix(rows)
 
 
-def _homogeneous(name: str, p: int, points: Sequence[int], s: int | None,
-                 d: int, mu: int, diag: int, off: int) -> CharMatrix:
-    """The `name` map at p points: net L_d(mu^p), E-block diag on the diagonal, off elsewhere."""
+def _involution(name: str, p: int, points: Sequence[int], s: int | None, d: int,
+                first: tuple[int, int, int], rest: tuple[int, int, int] | None = None) -> CharMatrix:
+    """The involution with net L_d(m, m'^(p-1)) at p points, named `name` in
+    the point-count refusal.  `first` is the first point's (m, diagonal entry,
+    entry against another point) and `rest` the same for every other point,
+    `first` again by default; the E-block is symmetric."""
     points = tuple(points)
     if len(points) != p:
-        raise ValueError(f"{name} map needs {p} points, got {len(points)}")
-    local = [[d] + [mu] * p]
-    for i in range(1, p + 1):
-        local.append([-mu] + [diag if i == j else off for j in range(1, p + 1)])
+        raise ValueError(f"{name} needs {p} points, got {len(points)}")
+    (m0, diag0, off0), (m, diag, off) = first, rest or first
+    local = [[d, m0] + [m] * (p - 1), [-m0, diag0] + [off0] * (p - 1)]
+    for i in range(2, p + 1):
+        local.append([-m, off0] + [diag if i == j else off for j in range(2, p + 1)])
     return _embed(local, points, s)
 
 
 def quadratic_map(points: Sequence[int], s: int | None = None) -> CharMatrix:
     """Degree-2 involution based at three points; net L_2(1, 1, 1)."""
-    return _homogeneous("quadratic", 3, points, s, 2, 1, 0, -1)
+    return _involution("quadratic map", 3, points, s, 2, (1, 0, -1))
 
 
 def sturm_map(points: Sequence[int], s: int | None = None) -> CharMatrix:
     """Degree-5 involution based at six points; net L_5(2^6)."""
-    return _homogeneous("sturm", 6, points, s, 5, 2, 0, -1)
+    return _involution("sturm map", 6, points, s, 5, (2, 0, -1))
 
 
 def geiser_map(points: Sequence[int], s: int | None = None) -> CharMatrix:
     """Degree-8 involution based at seven points; net L_8(3^7)."""
-    return _homogeneous("geiser", 7, points, s, 8, 3, -2, -1)
+    return _involution("geiser map", 7, points, s, 8, (3, -2, -1))
 
 
 def bertini_map(points: Sequence[int], s: int | None = None) -> CharMatrix:
     """Degree-17 involution based at eight points; net L_17(6^8)."""
-    return _homogeneous("bertini", 8, points, s, 17, 6, -3, -2)
+    return _involution("bertini map", 8, points, s, 17, (6, -3, -2))
 
 
 def jonquieres_map(n: int, points: Sequence[int], s: int | None = None) -> CharMatrix:
@@ -220,34 +215,18 @@ def jonquieres_map(n: int, points: Sequence[int], s: int | None = None) -> CharM
 
     Net L_(n+1)(n, 1^(2n)); each simple point pairs with itself.
     """
-    points = tuple(points)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if len(points) != 2 * n + 1:
-        raise ValueError(f"jonquieres of order {n} needs {2 * n + 1} points, got {len(points)}")
-    p = 2 * n + 1
-    local = [[1 + n, n] + [1] * (2 * n), [-n, 1 - n] + [-1] * (2 * n)]
-    for i in range(2, p + 1):
-        local.append([-1, -1] + [-1 if i == j else 0 for j in range(2, p + 1)])
-    return _embed(local, points, s)
+    return _involution(f"jonquieres of order {n}", 2 * n + 1, points, s, n + 1, (n, 1 - n, -1), (1, -1, 0))
 
 
 def double_jonquieres_map(n: int, points: Sequence[int], s: int | None = None) -> CharMatrix:
     """Involution of degree n^2+1 on 2n+2 points, a product of two de Jonquieres
     maps; net L_(n^2+1)(n^2-n, n^(2n+1))."""
-    points = tuple(points)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if len(points) != 2 * n + 2:
-        raise ValueError(f"double jonquieres of order {n} needs {2 * n + 2} points, got {len(points)}")
-    p = 2 * n + 2
-    local = [
-        [1 + n * n, n * n - n] + [n] * (2 * n + 1),
-        [n - n * n, 2 * n - n * n] + [1 - n] * (2 * n + 1),
-    ]
-    for i in range(2, p + 1):
-        local.append([-n, 1 - n] + [0 if i == j else -1 for j in range(2, p + 1)])
-    return _embed(local, points, s)
+    return _involution(f"double jonquieres of order {n}", 2 * n + 2, points, s, n * n + 1,
+                       (n * n - n, 2 * n - n * n, 1 - n), (n, 0, -1))
 
 
 def permutation_map(order: Sequence[int], s: int) -> CharMatrix:

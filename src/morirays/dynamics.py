@@ -377,14 +377,6 @@ class Ray(_Frozen):
     def uncollide(self, point: int, r: int) -> "Ray":
         return Ray(self.rep.uncollide(point, r))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Ray):
-            return NotImplemented
-        return self.rep == other.rep
-
-    def __hash__(self) -> int:
-        return hash(self.rep)
-
     def __str__(self) -> str:
         return self.rep.pretty()
 
@@ -449,7 +441,7 @@ def iterate(m: ShapeMatrix, seed: Sequence[int], k_max: int, bound: int | None =
         if bound is not None and term and max(map(abs, term)) >= bound:
             raise OrbitSizeError(k, bound)
         if k < k_max:
-            terms.append(tuple(m.apply(term)))
+            terms.append(m.apply(term))
     return OrbitSequence(m, seed, tuple(terms))
 
 

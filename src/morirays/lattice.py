@@ -159,14 +159,6 @@ class DivisorClass(_Frozen):
 
     __rmul__ = __mul__
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DivisorClass):
-            return NotImplemented
-        return self.degree == other.degree and self.mults == other.mults
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.mults))
-
     # -- collision calculus ---------------------------------------------------
 
     def uncollide(self, point: int, r: int) -> "DivisorClass":
@@ -188,9 +180,6 @@ class DivisorClass(_Frozen):
 
     def to_profile(self) -> "MultiplicityProfile":
         return MultiplicityProfile.group(self)
-
-    def __str__(self) -> str:
-        return self.pretty()
 
     def __repr__(self) -> str:
         return f"DivisorClass({self.degree!r}, {list(self.mults)!r})"
@@ -332,23 +321,12 @@ class MultiplicityProfile(_Frozen):
                 pieces += _root_pieces(num, rad, den)
         return RadicalSum._from_pieces(pieces)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MultiplicityProfile):
-            return NotImplemented
-        return self.degree == other.degree and self.blocks == other.blocks
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.blocks))
-
     def pretty(self) -> str:
         inner = ", ".join(_block_str(v, c) for v, c in self.blocks)
         deg = str(self.degree)
         if not deg.isdecimal():
             deg = f"({deg})"
         return f"L_{deg}({inner})"
-
-    def __str__(self) -> str:
-        return self.pretty()
 
     def __repr__(self) -> str:
         return f"MultiplicityProfile({self.degree!r}, {list(self.blocks)!r})"

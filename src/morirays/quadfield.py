@@ -16,6 +16,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from itertools import chain
 from math import gcd, isqrt, lcm
+from operator import attrgetter
 
 RationalLike = "int | Fraction"
 QuadLike = "int | Fraction | QuadNum"
@@ -108,12 +109,31 @@ def _sign(a: int, b: int, rad: int) -> int:
 
 class _Frozen:
     """Base of the immutable value classes: constructors set the slots through
-    object.__setattr__, and any later assignment raises."""
+    object.__setattr__, and any later assignment raises.  Two values are equal
+    when they are of one type and every slot of the class and its bases is
+    equal; the hash is that of the same slot values, and str is `pretty()`."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # the slot getter is worked out once per class, not on every comparison
+        cls._slot_values = attrgetter(*(name for base in reversed(cls.__mro__)
+                                        for name in vars(base).get("__slots__", ())))
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._slot_values(self) == self._slot_values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._slot_values(self))
+
+    def __str__(self) -> str:
+        return self.pretty()
 
 
 class QuadNum(_Frozen):
@@ -501,12 +521,6 @@ class RadicalSum(_Frozen):
         return RadicalSum._from_pieces((r, c * n, self._den * d) for r, c in self._nums)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RadicalSum) and self._nums == other._nums and self._den == other._den
-
-    def __hash__(self) -> int:
-        return hash((self._nums, self._den))
 
     def sign(self) -> int:
         # _den > 0, so the numerators alone carry the sign

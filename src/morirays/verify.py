@@ -17,6 +17,7 @@ multiple m, so it is checked once as a coefficient statement, never swept.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 
 from . import families
 from .cremona import cremona_reduce, quadratic_map
@@ -94,22 +95,15 @@ class PencilCertificate(namedtuple("PencilCertificate", "system reduction endpoi
         }
 
 
-# (builder, block): the map builder read last and the replay block it gave
-_replay_block_cache: tuple[object, tuple[tuple[int, ...], ...]] | None = None
-
-
-def _replay_block() -> tuple[tuple[int, ...], ...]:
+@lru_cache(maxsize=1)
+def _replay_block(build) -> tuple[tuple[int, ...], ...]:
     """The local block of one quadratic map, as the images of the four basis
-    vectors, read through `CharMatrix.apply` from the map that the builder
-    bound as `quadratic_map` returns.  It is read once per builder: a builder
-    bound in its place (a wrapper, a test's stand-in) is read on its next use."""
-    global _replay_block_cache
-    build = quadratic_map
-    if _replay_block_cache is None or _replay_block_cache[0] is not build:
-        q = build((1, 2, 3), 3)
-        _replay_block_cache = build, tuple(q.apply(e) for e in ((1, 0, 0, 0), (0, 1, 0, 0),
-                                                                 (0, 0, 1, 0), (0, 0, 0, 1)))
-    return _replay_block_cache[1]
+    vectors, read through `CharMatrix.apply` from the map that `build` (the
+    builder bound as `quadratic_map`) returns.  It is read once per builder: a
+    builder bound in its place (a wrapper, a test's stand-in) is read on its
+    next use."""
+    q = build((1, 2, 3), 3)
+    return tuple(q.apply(e) for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
 
 
 def certify_pencil(x: DivisorClass) -> PencilCertificate:
@@ -119,7 +113,7 @@ def certify_pencil(x: DivisorClass) -> PencilCertificate:
     # based at (i, j, k) embeds that block at (0, i, j, k) and fixes every
     # other coordinate, so only the degree and three multiplicities change.
     # The block's columns are the images of the four basis vectors.
-    (h0, h1, h2, h3), (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = _replay_block()
+    (h0, h1, h2, h3), (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = _replay_block(quadratic_map)
     # the coordinates (d, -m_1, ..., -m_s), so point p sits at index p;
     # cremona_reduce refused any class that is not integral, so these are ints
     v = [x.degree, *(-m for m in x.mults)]

@@ -1,6 +1,7 @@
 """Characteristic matrices: generators, composites, validation, reduction."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -326,6 +327,78 @@ def test_homogeneous_builders_refuse_a_wrong_point_count(build, name, p):
             build(range(1, count + 1), 10)
         with pytest.raises(ValueError, match=f"^{name} map needs {p} points, got {count}$"):
             build(range(1, count + 1))
+
+
+@pytest.mark.parametrize("build,name,points", [
+    (jonquieres_map, "jonquieres", lambda n: 2 * n + 1),
+    (double_jonquieres_map, "double jonquieres", lambda n: 2 * n + 2),
+])
+def test_jonquieres_builders_refuse_a_wrong_point_count_or_order(build, name, points):
+    for n in (1, 2, 5):
+        p = points(n)
+        for count in (0, p - 1, p + 1):
+            for s in (12, None):
+                with pytest.raises(ValueError, match=f"^{name} of order {n} needs {p} points, got {count}$"):
+                    build(n, range(1, count + 1), s)
+    # the order is refused before the points are counted
+    for n in (0, -1):
+        for count in (0, max(points(n), 0), 3):
+            with pytest.raises(ValueError, match=f"^need n >= 1, got {n}$"):
+                build(n, range(1, count + 1), 12)
+
+
+def _slots(value) -> list[str]:
+    return [name for c in type(value).__mro__ for name in vars(c).get("__slots__", ())]
+
+
+# each value type: a value, an equal one made differently, and for each slot
+# a value that differs from the first in that slot alone
+VALUES = {
+    "DivisorClass": (DivisorClass(3, [1, 1]), DivisorClass(QuadNum(3), [Fraction(2, 2), 1]),
+                     {"degree": DivisorClass(4, [1, 1]), "mults": DivisorClass(3, [1, 2])}),
+    "MultiplicityProfile": (MultiplicityProfile(3, [(1, 2)]), MultiplicityProfile(QuadNum(3), [(1, 2)]),
+                            {"degree": MultiplicityProfile(4, [(1, 2)]), "blocks": MultiplicityProfile(3, [(1, 3)])}),
+    "Ray": (Ray(DivisorClass(3, [1, 1])), Ray(MultiplicityProfile(6, [(2, 1), (2, 1)])),
+            {"rep": Ray(DivisorClass(3, [1, 2]))}),
+    "RadicalSum": (RadicalSum([(1, 2), (1, 3)]), RadicalSum([(1, 3), (1, 8), (-1, 8)]) + RadicalSum([(1, 2)]),
+                   {"_nums": RadicalSum([(1, 2), (1, 5)]),
+                    "_den": RadicalSum([(Fraction(1, 2), 2), (Fraction(1, 2), 3)])}),
+    "CharMatrix": (CharMatrix(Q_ROWS), quadratic_map((1, 2, 3)), {"rows": CharMatrix.identity(3)}),
+    "ShapeMatrix": (ShapeMatrix(Q_ROWS, (1, 1, 1)), ShapeMatrix([list(r) for r in Q_ROWS], [1, 1, 1]),
+                    {"rows": ShapeMatrix(CharMatrix.identity(3).rows, (1, 1, 1)),
+                     "counts": ShapeMatrix(Q_ROWS, (1, 1, 2))}),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_types_compare_and_hash_by_every_slot(name):
+    a, b, variants = VALUES[name]
+    assert type(a).__name__ == name and a is not b
+    assert a == b and not a != b and hash(a) == hash(b)
+    # every slot of the class and its bases is covered, one variant each
+    assert sorted(variants) == sorted(_slots(a))
+    for slot, v in variants.items():
+        assert [n for n in _slots(a) if getattr(a, n) != getattr(v, n)] == [slot]
+        assert a != v and v != a and not a == v
+    # the hash reads every slot too; hashes of int tuples are not salted, so
+    # these are the same on every run
+    assert len({hash(a), *map(hash, variants.values())}) == 1 + len(variants)
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_types_return_not_implemented_against_other_types(name):
+    a = VALUES[name][0]
+    for other_name, (other, _, _) in VALUES.items():
+        if other_name != name:
+            assert a.__eq__(other) is NotImplemented
+            assert a != other
+    assert a.__eq__(3) is NotImplemented and a.__eq__(QuadNum(3)) is NotImplemented
+
+
+@pytest.mark.parametrize("name", ["DivisorClass", "MultiplicityProfile", "CharMatrix", "ShapeMatrix"])
+def test_str_is_pretty(name):
+    a = VALUES[name][0]
+    assert str(a) == a.pretty()
 
 
 @pytest.mark.parametrize("build,points", [
